@@ -19,10 +19,10 @@ from pathlib import Path
 from crdsasim.config import ConfigError, load_scenario
 from crdsasim.engine import (
     TABLE6_COLUMNS,
-    measure_xi,
     metrics_to_json,
     run,
     sweep,
+    sweep_point_config,
 )
 from crdsasim.models import (
     MODEL_NAMES,
@@ -163,11 +163,9 @@ def _cmd_sweep(args) -> int:
             (m.measured_s / cfg.block_duration_s) * cfg.slots_per_block
         )
         load_rows.append([n, m.g_mean, thr_per_slot, m.load_per_rcst])
-        doc = {"metrics": m.to_json_dict(),
-               "config": cfg.with_overrides(n_rcst=n).to_dict()}
-        (out / f"metrics_n{n}.json").write_text(json.dumps(doc, indent=2),
-                                                encoding="utf-8")
-        row = comparison_rows([doc], models)[0]
+        text = metrics_to_json(m, sweep_point_config(cfg, n))
+        (out / f"metrics_n{n}.json").write_text(text, encoding="utf-8")
+        row = comparison_rows([json.loads(text)], models)[0]
         eta_rows.append([n] + [row.get(f"{mm}_eta", "N/A") for mm in models])
 
     _write_csv(out / "sweep_load.csv",

@@ -7,8 +7,9 @@ immutable after validation so it can be shared freely across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import get_type_hints
 
 import numpy as np
 
@@ -75,8 +76,6 @@ DEFAULT_RLE_PAYLOAD = {
 }
 
 SEGMENT_OVERHEAD_BYTES = 15  # compressed TCP/IP headers plus layer-2 overhead
-DATA_HEADER_BYTES = 7
-ACK_HEADER_BYTES = 6
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,6 @@ class ScenarioConfig:
     delayed_ack_b: int = 2
     initial_rto_s: float = 2.0
     segment_overhead_bytes: int = SEGMENT_OVERHEAD_BYTES
-    data_header_bytes: int = DATA_HEADER_BYTES
-    ack_header_bytes: int = ACK_HEADER_BYTES
     buffer_segments: int = 10000
     sim_duration_s: float = 100.0
     warmup_s: float = -1.0            # <0 -> 10% of sim_duration_s
@@ -162,62 +159,26 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
     def to_text(self) -> str:
-        lines = [
-            f"waveform_id = {self.waveform.wf_id}",
-            f"mss_bytes = {self.mss_bytes}",
-            f"n_rcst = {self.n_rcst}",
-            f"replicas = {self.replicas}",
-            f"slots_per_block = {self.slots_per_block}",
-            f"block_duration_s = {self.block_duration_s!r}",
-            f"nominal_rtt_s = {self.nominal_rtt_s!r}",
-            f"delayed_ack_b = {self.delayed_ack_b}",
-            f"initial_rto_s = {self.initial_rto_s!r}",
-            f"buffer_segments = {self.buffer_segments}",
-            f"sim_duration_s = {self.sim_duration_s!r}",
-            f"warmup_s = {self.warmup_s!r}",
-            f"seed = {self.seed}",
-            f"rle_payload_bytes = {self.rle_payload_bytes!r}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{k} = {v}\n" for k, v in self.to_dict().items())
 
     def to_dict(self) -> dict:
-        return {
-            "waveform_id": self.waveform.wf_id,
-            "mss_bytes": self.mss_bytes,
-            "n_rcst": self.n_rcst,
-            "replicas": self.replicas,
-            "slots_per_block": self.slots_per_block,
-            "block_duration_s": self.block_duration_s,
-            "nominal_rtt_s": self.nominal_rtt_s,
-            "delayed_ack_b": self.delayed_ack_b,
-            "initial_rto_s": self.initial_rto_s,
-            "buffer_segments": self.buffer_segments,
-            "sim_duration_s": self.sim_duration_s,
-            "warmup_s": self.warmup_s,
-            "seed": self.seed,
-            "rle_payload_bytes": self.rle_payload_bytes,
-        }
+        """One scenario-file key per field, in field order; the waveform is
+        stored as its catalog id."""
+        d = {}
+        for f in fields(self):
+            if f.name == "waveform":
+                d["waveform_id"] = self.waveform.wf_id
+            else:
+                d[f.name] = getattr(self, f.name)
+        return d
 
 
-_INT_KEYS = {
-    "waveform_id",
-    "mss_bytes",
-    "n_rcst",
-    "replicas",
-    "slots_per_block",
-    "delayed_ack_b",
-    "buffer_segments",
-    "seed",
+# Scenario-file keys and the types their values parse to: one per
+# ScenarioConfig field, with the waveform given by its catalog id.
+_KEY_TYPES = {"waveform_id": int} | {
+    name: tp for name, tp in get_type_hints(ScenarioConfig).items()
+    if name != "waveform"
 }
-_FLOAT_KEYS = {
-    "block_duration_s",
-    "nominal_rtt_s",
-    "initial_rto_s",
-    "sim_duration_s",
-    "warmup_s",
-    "rle_payload_bytes",
-}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
@@ -235,12 +196,12 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key '{key}'")
         try:
-            raw[key] = int(value) if key in _INT_KEYS else float(value)
+            raw[key] = _KEY_TYPES[key](value)
         except ValueError:
             raise ConfigError(
                 f"{source}:{lineno}: cannot parse value '{value}' for '{key}'"

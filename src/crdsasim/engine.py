@@ -28,11 +28,11 @@ from crdsasim.config import (
     make_rng,
     rcst_stream,
 )
-from crdsasim.mac import DEFAULT_MAX_ITERS, sample_replica_slots, sic_decode
+from crdsasim.mac import sample_replica_slots, sic_decode
 from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
 from crdsasim.tcp import TcpReceiver, TcpSender
 
-__all__ = ["RunMetrics", "run", "measure_xi", "sweep", "TABLE6_COLUMNS"]
+__all__ = ["RunMetrics", "run", "sweep", "sweep_point_config", "TABLE6_COLUMNS"]
 
 TABLE6_COLUMNS = (
     "wf", "mss", "n_rcst", "blr", "r", "f", "q", "p",
@@ -132,8 +132,7 @@ def _delay_blocks(cfg: ScenarioConfig) -> int:
     return math.ceil(cfg.nominal_rtt_s / 2.0 / cfg.block_duration_s - 1e-9)
 
 
-def run(cfg: ScenarioConfig, trace: list | None = None,
-        max_iters: int = DEFAULT_MAX_ITERS) -> RunMetrics:
+def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
     """Simulate one scenario and collect post-warmup statistics."""
     dt = cfg.block_duration_s
     n_slots = cfg.slots_per_block
@@ -281,7 +280,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None,
                         sent_attempts += 1
                         if sl.seg.tx_epoch > 0:
                             retx_tx += 1
-            decoded, lost = sic_decode(slot_rows.tolist(), max_iters)
+            decoded, lost = sic_decode(slot_rows.tolist())
             if measuring:
                 bursts_offered += len(active)
                 bursts_lost += len(lost)
@@ -345,6 +344,8 @@ def _collect(cfg, flows, base, r, f, n_blocks, warmup_block,
         cw_sum / cw_n if cw_n else 0.0
     )
     delivered_total = sum(delivered_pf)
+    # timeout probability per round: mean timeouts per flow over the
+    # number of rounds in the measurement window
     mean_tos = timeouts / cfg.n_rcst
     xi = mean_tos / (measured_s / e_rtt) if e_rtt > 0 and measured_s > 0 else 0.0
 
@@ -394,18 +395,16 @@ def _collect(cfg, flows, base, r, f, n_blocks, warmup_block,
     )
 
 
-def measure_xi(m: RunMetrics, cfg: ScenarioConfig) -> float:
-    """Timeout probability per round: mean timeouts over the measurement
-    window divided by the number of rounds in it."""
-    if m.e_rtt_s <= 0 or m.measured_s <= 0:
-        return 0.0
-    return (m.timeouts / cfg.n_rcst) / (m.measured_s / m.e_rtt_s)
+def sweep_point_config(cfg_template: ScenarioConfig, n: int) -> ScenarioConfig:
+    """The scenario one sweep point runs: the template at population n,
+    with a seed derived from the template seed and n."""
+    return cfg_template.with_overrides(
+        n_rcst=n, seed=derive_run_seed(cfg_template.seed, n)
+    )
 
 
 def _sweep_one(args):
-    cfg, n = args
-    scoped = cfg.with_overrides(n_rcst=n, seed=derive_run_seed(cfg.seed, n))
-    return run(scoped)
+    return run(sweep_point_config(*args))
 
 
 def sweep(cfg_template: ScenarioConfig, n_rcst_list: list[int],

@@ -9,17 +9,13 @@ the decoded burst's replicas everywhere, assuming power-balanced terminals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Burst",
-    "RaBlock",
     "MacStats",
     "MacUsageError",
-    "place_burst",
-    "decode_block",
     "sic_decode",
     "sample_replica_slots",
     "run_open_loop",
@@ -29,38 +25,15 @@ __all__ = [
 
 DEFAULT_MAX_ITERS = 20
 
+# Blocks whose transmit decisions, placements and decoding the open-loop
+# driver handles in one vectorised batch.  Placement rejection-resamples per
+# batch, so this value fixes how the MAC stream is consumed: changing it
+# changes the results of a seed.
+OPEN_LOOP_CHUNK_BLOCKS = 4096
+
 
 class MacUsageError(RuntimeError):
-    """Raised on out-of-order MAC operations (e.g. placing into a sealed block)."""
-
-
-@dataclass
-class Burst:
-    rcst_id: int
-    burst_seq: int
-    payload: object = None           # opaque to the MAC (list of RLE slices)
-    replica_slots: tuple = ()
-
-
-@dataclass
-class RaBlock:
-    block_index: int
-    n_slots: int
-    slots: list = field(default_factory=list)   # per-slot occupancy lists
-    bursts: list = field(default_factory=list)  # unique bursts, placement order
-    sealed: bool = False
-
-    def __post_init__(self):
-        if not self.slots:
-            self.slots = [[] for _ in range(self.n_slots)]
-
-    @property
-    def unique_burst_count(self) -> int:
-        return len(self.bursts)
-
-    @property
-    def offered_load(self) -> float:
-        return self.unique_burst_count / self.n_slots
+    """Raised on an impossible placement (more replicas than slots)."""
 
 
 def sample_replica_slots(rng: np.random.Generator, m: int, n_slots: int,
@@ -83,22 +56,6 @@ def sample_replica_slots(rng: np.random.Generator, m: int, n_slots: int,
             return out
         out[bad] = rng.integers(0, n_slots, size=(int(bad.sum()), replicas),
                                 dtype=np.int64)
-
-
-def place_burst(block: RaBlock, burst: Burst, rng: np.random.Generator,
-                replicas: int) -> RaBlock:
-    """Draw replica slots for one burst and append it to the block."""
-    if block.sealed:
-        raise MacUsageError("cannot place a burst into a sealed block")
-    if burst.replica_slots:
-        raise MacUsageError("burst already has assigned slots")
-    slots = sample_replica_slots(rng, 1, block.n_slots, replicas)[0]
-    burst.replica_slots = tuple(int(s) for s in slots)
-    idx = len(block.bursts)
-    block.bursts.append(burst)
-    for s in burst.replica_slots:
-        block.slots[s].append(idx)
-    return block
 
 
 def sic_decode(replica_slots: list, max_iters: int = DEFAULT_MAX_ITERS):
@@ -139,12 +96,6 @@ def sic_decode(replica_slots: list, max_iters: int = DEFAULT_MAX_ITERS):
 
     lost = set(range(n_bursts)) - decoded
     return decoded, lost
-
-
-def decode_block(block: RaBlock, max_iters: int = DEFAULT_MAX_ITERS):
-    """SIC-decode a sealed block; see :func:`sic_decode`."""
-    block.sealed = True
-    return sic_decode([b.replica_slots for b in block.bursts], max_iters)
 
 
 @dataclass
@@ -192,7 +143,7 @@ def _decode_batch(block_of_burst: np.ndarray, slot_matrix: np.ndarray,
 
     ``block_of_burst[i]`` is the block owning burst i and ``slot_matrix[i]``
     its replica slots.  Returns a boolean decoded mask.  Semantically
-    identical to running :func:`decode_block` per block (each global pass
+    identical to running :func:`sic_decode` per block (each global pass
     decodes at least everything a per-block pass would).
     """
     m = block_of_burst.shape[0]
@@ -212,9 +163,7 @@ def _decode_batch(block_of_burst: np.ndarray, slot_matrix: np.ndarray,
     return decoded
 
 
-def run_open_loop(cfg, tx_prob: float, blocks: int,
-                  max_iters: int = DEFAULT_MAX_ITERS,
-                  chunk_blocks: int = 4096) -> MacStats:
+def run_open_loop(cfg, tx_prob: float, blocks: int) -> MacStats:
     """TCP-disabled load sweep driver: every RCST offers one burst per
     block with probability ``tx_prob``; placement and SIC follow the
     closed-loop MAC exactly.
@@ -236,7 +185,7 @@ def run_open_loop(cfg, tx_prob: float, blocks: int,
 
     done = 0
     while done < blocks:
-        nb = min(chunk_blocks, blocks - done)
+        nb = min(OPEN_LOOP_CHUNK_BLOCKS, blocks - done)
         # (n_rcst, nb) transmit decisions, one row per private stream
         tx = np.empty((n_rcst, nb), dtype=bool)
         for i, rng in enumerate(rcst_rngs):
@@ -249,7 +198,7 @@ def run_open_loop(cfg, tx_prob: float, blocks: int,
             order = np.argsort(block_idx, kind="stable")
             block_idx = block_idx[order]
             slots = sample_replica_slots(mac_rng, m, n, cfg.replicas)
-            dec = _decode_batch(block_idx, slots, nb, n, max_iters)
+            dec = _decode_batch(block_idx, slots, nb, n)
             decoded_series[done:done + nb] = np.bincount(
                 block_idx[dec], minlength=nb
             )

@@ -1,8 +1,7 @@
 """Return Link Encapsulation adaptation.
 
 Packs queued TCP segments into fixed-size burst payloads (whole segments,
-fragments, or several small segments per burst) and maps a lost burst back
-to the set of transport segments it carried.  Byte amounts are kept as
+fragments, or several small segments per burst).  Byte amounts are kept as
 floats because the effective burst payload is calibrated in fractional
 segment units (see config.DEFAULT_RLE_PAYLOAD).
 """
@@ -12,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["SegmentRef", "BurstSlice", "TxQueue", "pack_next_burst", "on_burst_lost"]
+__all__ = ["SegmentRef", "BurstSlice", "TxQueue", "pack_next_burst"]
 
 _EPS = 1e-9
 
@@ -61,28 +60,6 @@ class TxQueue:
         self.pending.append(seg)
         return True
 
-    def push_front(self, seg: SegmentRef):
-        """Queue a retransmission ahead of new data."""
-        self.pending.appendleft(seg)
-
-    def remove(self, seg_seq: int) -> bool:
-        """Drop a queued (untransmitted) copy of seg_seq, wherever it sits."""
-        if self.cursor_seg is not None and self.cursor_seg.seg_seq == seg_seq:
-            self.cursor_seg = None
-            self.cursor_sent = 0.0
-            return True
-        for seg in self.pending:
-            if seg.seg_seq == seg_seq:
-                self.pending.remove(seg)
-                return True
-        return False
-
-    def queued_seqs(self):
-        if self.cursor_seg is not None:
-            yield self.cursor_seg.seg_seq
-        for seg in self.pending:
-            yield seg.seg_seq
-
 
 def pack_next_burst(q: TxQueue, payload_bytes: float,
                     max_distinct: int | None = None) -> list[BurstSlice] | None:
@@ -126,12 +103,3 @@ def pack_next_burst(q: TxQueue, payload_bytes: float,
             break
 
     return slices
-
-
-def on_burst_lost(slices: list[BurstSlice]) -> set[int]:
-    """Segments lost in full when the carrying burst collides.
-
-    Any slice in a lost burst kills its whole segment; the distinct
-    seg_seq set is returned for transport-layer bookkeeping.
-    """
-    return {sl.seg.seg_seq for sl in slices}

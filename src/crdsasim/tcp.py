@@ -99,11 +99,8 @@ class TcpSender:
         # counters (monotone; callers snapshot at warmup)
         self.timeouts = 0
         self.fr_entries = 0
-        self.rtx_requests = 0
-        self.segments_emitted = 0
         self.rtt_sum = 0.0
         self.rtt_n = 0
-        self.last_rtt_sample = None
 
         self.cycles: list[CycleRecord] = []
         self._cycle_start = 0.0
@@ -153,7 +150,6 @@ class TcpSender:
             seq = self.next_seq
             self.next_seq += 1
             self.send_time[seq] = now
-            self.segments_emitted += 1
             if self.phase == FAST_RECOVERY:
                 self._sends_fr += 1
                 if self._fr_round_sends is not None:
@@ -166,7 +162,6 @@ class TcpSender:
     def _retransmit(self, now, seq) -> SendAction:
         # retransmissions are tracked separately from the per-phase new-data
         # send counts (the recovery round law counts fresh segments only)
-        self.rtx_requests += 1
         self.send_time.pop(seq, None)      # Karn: no sample from retransmits
         if self.phase == FAST_RECOVERY:
             self._fr_retx += 1
@@ -183,7 +178,6 @@ class TcpSender:
                        self.srtt + max(RTO_GRANULARITY_S, 4.0 * self.rttvar))
         self.rtt_sum += sample
         self.rtt_n += 1
-        self.last_rtt_sample = sample
 
     def armed_rto(self) -> float:
         return self.rto * (2 ** self.backoff_exp)
@@ -212,11 +206,6 @@ class TcpSender:
         self._fr_round_sends = None
         self._fr_w = 0.0
         self._fr_retx = 0
-
-    def app_source(self, now) -> list[SendAction]:
-        """Pull segments from the endless application source while the
-        window allows; the ACK clock calls this implicitly."""
-        return self._emit_new(now)
 
     # -- events ------------------------------------------------------------
 

@@ -21,6 +21,23 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def metrics_section(path):
+    doc = json.loads(path.read_text())
+    return doc, json.dumps(doc["metrics"], indent=2, sort_keys=True)
+
+
+def assert_replays(metrics_path, tmp_path):
+    """The config recorded beside a metrics document, written back out as a
+    scenario file, reproduces the metrics byte for byte."""
+    doc, metrics = metrics_section(metrics_path)
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in doc["config"].items()))
+    out = tmp_path / "replay"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    _, again = metrics_section(out / "metrics.json")
+    assert again == metrics
+
+
 class TestSimulate:
     def test_writes_metrics_and_row(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -49,6 +66,21 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "replicas" in capsys.readouterr().err
+
+    def test_processing_delay_key_accepted(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("waveform_id = 14\nn_rcst = 2\nsim_duration_s = 5\n"
+                       "processing_delay_blocks = 0\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        assert doc["config"]["processing_delay_blocks"] == 0
+
+    def test_recorded_config_replays(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_file),
+                     "--out", str(out)]) == 0
+        assert_replays(out / "metrics.json", tmp_path)
 
     def test_missing_config_exit_1(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
@@ -123,6 +155,14 @@ class TestSweep:
         assert eta[0][0] == "n_rcst"
         assert (out / "metrics_n3.json").exists()
         assert (out / "metrics_n6.json").exists()
+
+    def test_recorded_config_replays(self, config_file, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(config_file), "--n-list", "5",
+                     "--out", str(out)]) == 0
+        doc, _ = metrics_section(out / "metrics_n5.json")
+        assert doc["config"]["seed"] == doc["metrics"]["seed"]
+        assert_replays(out / "metrics_n5.json", tmp_path)
 
     def test_empty_n_list_exit_2(self, config_file, tmp_path):
         rc = main(["sweep", "--config", str(config_file), "--n-list", ",",

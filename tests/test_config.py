@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from crdsasim import config
 from crdsasim.config import (
     ConfigError,
     ScenarioConfig,
@@ -18,6 +20,37 @@ from crdsasim.config import (
 def make_cfg(wf=14, mss=173, **kw):
     kw.setdefault("n_rcst", 10)
     return ScenarioConfig(waveform=WAVEFORM_CATALOG[wf], mss_bytes=mss, **kw)
+
+
+def floats_in(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False,
+                     allow_infinity=False)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Valid configs with every field drawn, defaults included."""
+    slots = draw(st.integers(0, 300))      # 0 -> per-waveform default
+    block = draw(floats_in(1e-4, 0.1))
+    sim = draw(floats_in(1.0, 1000.0))
+    return ScenarioConfig(
+        waveform=WAVEFORM_CATALOG[draw(st.sampled_from(sorted(WAVEFORM_CATALOG)))],
+        mss_bytes=draw(st.integers(1, 1500)),
+        n_rcst=draw(st.integers(1, 500)),
+        replicas=draw(st.integers(1, min(slots or 64, 6))),
+        slots_per_block=slots,
+        block_duration_s=block,
+        nominal_rtt_s=draw(floats_in(block, 2.0)),
+        delayed_ack_b=draw(st.integers(1, 8)),
+        initial_rto_s=draw(floats_in(1e-3, 10.0)),
+        segment_overhead_bytes=draw(st.integers(0, 100)),
+        buffer_segments=draw(st.integers(1, 100000)),
+        sim_duration_s=sim,
+        warmup_s=draw(st.just(-1.0) | floats_in(0.0, sim * 0.99)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        rle_payload_bytes=draw(st.just(0.0) | floats_in(1.0, 5000.0)),
+        processing_delay_blocks=draw(st.integers(0, 20)),
+    )
 
 
 class TestWaveformCatalog:
@@ -95,6 +128,21 @@ class TestLoadScenario:
         cfg = load_scenario(p)
         again = parse_scenario_text(cfg.to_text())
         assert again == cfg
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_text_round_trip_every_field(self, data):
+        # every field varies, so a key the text format drops or mistypes
+        # breaks the equality
+        cfg = data.draw(scenario_configs())
+        assert parse_scenario_text(cfg.to_text()) == cfg
+
+    def test_recorded_keys_are_the_parsed_keys(self):
+        cfg = make_cfg()
+        field_keys = {"waveform_id" if f.name == "waveform" else f.name
+                      for f in fields(ScenarioConfig)}
+        assert len(field_keys) == 16
+        assert set(cfg.to_dict()) == set(config._KEY_TYPES) == field_keys
 
     def test_validation_messages_name_invariant(self):
         with pytest.raises(ConfigError, match="nominal_rtt_s"):

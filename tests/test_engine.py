@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG
-from crdsasim.engine import RunMetrics, measure_xi, metrics_to_json, run, sweep
+from crdsasim.engine import RunMetrics, metrics_to_json, run, sweep
 
 
 def make_cfg(wf=14, mss=173, n=5, dur=40.0, seed=11, **kw):
@@ -87,7 +87,6 @@ class TestMetrics:
         m = run(make_cfg(n=10, dur=60.0, seed=2))
         cfg = make_cfg(n=10, dur=60.0, seed=2)
         expected = (m.timeouts / cfg.n_rcst) / (m.measured_s / m.e_rtt_s)
-        assert measure_xi(m, cfg) == pytest.approx(expected)
         assert m.xi == pytest.approx(expected)
 
     def test_g_mean_and_lambda(self):

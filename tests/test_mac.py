@@ -6,11 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG, make_rng
 from crdsasim.mac import (
-    Burst,
     MacUsageError,
-    RaBlock,
-    decode_block,
-    place_burst,
     run_open_loop,
     sample_replica_slots,
     sic_decode,
@@ -24,53 +20,25 @@ def make_cfg(**kw):
     return ScenarioConfig(waveform=WAVEFORM_CATALOG[14], **kw)
 
 
-def block_with(placements, n_slots=8):
-    blk = RaBlock(0, n_slots)
-    for i, slots in enumerate(placements):
-        burst = Burst(rcst_id=i, burst_seq=0, replica_slots=tuple(slots))
-        blk.bursts.append(burst)
-        for s in slots:
-            blk.slots[s].append(i)
-    return blk
-
-
 class TestPlacement:
     def test_three_distinct_slots_in_range(self):
-        rng = make_rng(1, 0)
-        blk = RaBlock(0, 64)
-        b = Burst(0, 0)
-        place_burst(blk, b, rng, replicas=3)
-        assert len(set(b.replica_slots)) == 3
-        assert all(0 <= s < 64 for s in b.replica_slots)
+        slots = sample_replica_slots(make_rng(1, 0), 1, 64, 3)[0].tolist()
+        assert len(set(slots)) == 3
+        assert all(0 <= s < 64 for s in slots)
 
     def test_single_replica_degenerate(self):
-        rng = make_rng(1, 0)
-        blk = RaBlock(0, 64)
-        b = Burst(0, 0)
-        place_burst(blk, b, rng, replicas=1)
-        assert len(b.replica_slots) == 1
+        rows = sample_replica_slots(make_rng(1, 0), 1, 64, 1)
+        assert rows.shape == (1, 1)
 
     def test_same_rng_state_same_placement(self):
         for _ in range(5):
-            b1 = Burst(0, 0)
-            b2 = Burst(0, 0)
-            place_burst(RaBlock(0, 64), b1, make_rng(9, 3), replicas=3)
-            place_burst(RaBlock(0, 64), b2, make_rng(9, 3), replicas=3)
-            assert b1.replica_slots == b2.replica_slots
+            a = sample_replica_slots(make_rng(9, 3), 1, 64, 3)
+            b = sample_replica_slots(make_rng(9, 3), 1, 64, 3)
+            assert (a == b).all()
 
-    def test_sealed_block_rejects_placement(self):
-        blk = block_with([(0, 1)])
-        decode_block(blk)
+    def test_more_replicas_than_slots_rejected(self):
         with pytest.raises(MacUsageError):
-            place_burst(blk, Burst(1, 0), make_rng(1, 0), replicas=2)
-
-    def test_reused_burst_rejected(self):
-        rng = make_rng(1, 0)
-        blk = RaBlock(0, 64)
-        b = Burst(0, 0)
-        place_burst(blk, b, rng, replicas=3)
-        with pytest.raises(MacUsageError):
-            place_burst(RaBlock(1, 64), b, rng, replicas=3)
+            sample_replica_slots(make_rng(1, 0), 1, 2, 3)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
@@ -84,33 +52,28 @@ class TestPlacement:
 
 class TestSicDecode:
     def test_single_burst_decodes(self):
-        blk = block_with([(2, 5, 7)])
-        decoded, lost = decode_block(blk)
+        decoded, lost = sic_decode([(2, 5, 7)])
         assert decoded == {0} and lost == set()
 
     def test_slotted_aloha_collision_both_lost(self):
-        blk = block_with([(3,), (3,)])
-        decoded, lost = decode_block(blk)
+        decoded, lost = sic_decode([(3,), (3,)])
         assert decoded == set() and lost == {0, 1}
 
     def test_sic_resolves_shared_slot(self):
         # Hand-executed: burst A in {0,1}, burst B in {1,2}.  Slot 0 and
         # slot 2 are singletons, so both decode on the first pass; the
         # shared slot 1 never blocks either.
-        blk = block_with([(0, 1), (1, 2)], n_slots=3)
-        decoded, lost = decode_block(blk)
+        decoded, lost = sic_decode([(0, 1), (1, 2)])
         assert decoded == {0, 1} and lost == set()
 
     def test_chain_peeling_needs_iterations(self):
         # A:{0,1} B:{1,2} C:{2,3}: only slot 0 and slot 3 start clean;
         # decoding A frees slot 1 which is B's, etc.
-        blk = block_with([(0, 1), (1, 2), (2, 3)], n_slots=4)
-        decoded, lost = decode_block(blk)
+        decoded, lost = sic_decode([(0, 1), (1, 2), (2, 3)])
         assert decoded == {0, 1, 2} and lost == set()
 
     def test_stuck_clique_lost(self):
-        blk = block_with([(0, 1), (0, 1)], n_slots=4)
-        decoded, lost = decode_block(blk)
+        decoded, lost = sic_decode([(0, 1), (0, 1)])
         assert decoded == set() and lost == {0, 1}
 
     def test_max_iters_monotone(self):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crdsasim.rle import BurstSlice, SegmentRef, TxQueue, on_burst_lost, pack_next_burst
+from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
 
 
 def seg(n, total=188.0, epoch=0):
@@ -109,16 +109,22 @@ class TestOverflow:
         assert [s.seg_seq for s in q.pending] == [0, 1, 2]
 
 
+def carried(slices):
+    """Segments a burst carries, all of which are lost if it collides."""
+    return {sl.seg.seg_seq for sl in slices}
+
+
 class TestBurstLoss:
     def test_single_segment_loss_for_exact_fit(self):
-        lost = on_burst_lost([BurstSlice(seg(7), 188.0, True)])
-        assert lost == {7}
+        q = TxQueue(0)
+        fill(q, 3, total=188.0)
+        assert carried(pack_next_burst(q, 188.0)) == {1}
 
     def test_full_burst_over_one_loses_f_segments(self):
         q = TxQueue(0)
         fill(q, 10, total=38.0)
         slices = pack_next_burst(q, 216.6, max_distinct=6)
-        assert on_burst_lost(slices) == {1, 2, 3, 4, 5, 6}
+        assert carried(slices) == {1, 2, 3, 4, 5, 6}
 
     def test_straddling_burst_loses_two(self):
         q = TxQueue(0)
@@ -127,7 +133,7 @@ class TestBurstLoss:
         while q.has_data():
             bursts.append(pack_next_burst(q, 32.9))
         straddler = next(b for b in bursts if len({s.seg.seg_seq for s in b}) == 2)
-        assert on_burst_lost(straddler) == {1, 2}
+        assert carried(straddler) == {1, 2}
 
     def test_straddle_frequency_about_one_in_six(self):
         q = TxQueue(0)

@@ -123,13 +123,13 @@ class TestAppSource:
         s = steady_ca_sender(cwnd=4.0)
         s.started = True
         s.next_seq = 5          # 4 outstanding of window 4
-        assert s.app_source(0.0) == []
+        assert s._emit_new(0.0) == []
 
     def test_one_send_when_one_slot_free(self):
         s = steady_ca_sender(cwnd=4.0)
         s.started = True
         s.next_seq = 4          # 3 outstanding of window 4
-        acts = s.app_source(0.0)
+        acts = s._emit_new(0.0)
         assert [(a.seq, a.retransmit) for a in acts] == [(4, False)]
 
     def test_fresh_flow_emits_initial_window(self):
