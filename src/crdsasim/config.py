@@ -104,6 +104,11 @@ class ScenarioConfig:
     processing_delay_blocks: int = 4
 
     def __post_init__(self):
+        # an int given to a float field is stored as the float the parser
+        # would make of it, so the recorded config replays byte for byte
+        for name, tp in _KEY_TYPES.items():
+            if tp is float and isinstance(getattr(self, name), int):
+                object.__setattr__(self, name, float(getattr(self, name)))
         if self.slots_per_block == 0:
             object.__setattr__(
                 self, "slots_per_block", DEFAULT_SLOTS[self.waveform.wf_id]

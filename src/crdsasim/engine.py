@@ -108,28 +108,92 @@ class RunMetrics:
         }
 
 
-class _FlowRuntime:
-    __slots__ = (
-        "idx", "sender", "receiver", "txq", "start_block", "epoch_of",
-        "reasm", "dead", "queued_untx", "event_end_seq", "burst_counter",
-    )
+@dataclass(slots=True)
+class _Flow:
+    """One terminal: its TCP endpoints, its device queue, and the engine's
+    view of the segment incarnations it has put on the air."""
 
-    def __init__(self, idx, sender, receiver, txq, start_block):
-        self.idx = idx
-        self.sender = sender
-        self.receiver = receiver
-        self.txq = txq
-        self.start_block = start_block
-        self.epoch_of = {}
-        self.reasm = {}            # (seq, epoch) -> bytes received so far
-        self.dead = set()          # (seq, epoch) incarnations killed by SIC
-        self.queued_untx = set()   # seqs sitting in pending, never transmitted
-        self.event_end_seq = 0
-        self.burst_counter = 0
+    idx: int
+    sender: TcpSender
+    receiver: TcpReceiver
+    txq: TxQueue
+    start_block: int
+    epoch_of: dict = field(default_factory=dict)     # seq -> latest rtx epoch
+    dead: set = field(default_factory=set)           # (seq, epoch) killed by SIC
+    queued_untx: set = field(default_factory=set)    # seqs queued, never sent
+    event_end_seq: int = 0     # first seq past the current loss event
 
 
-def _delay_blocks(cfg: ScenarioConfig) -> int:
-    return math.ceil(cfg.nominal_rtt_s / 2.0 / cfg.block_duration_s - 1e-9)
+@dataclass(slots=True)
+class _Tally:
+    """Every post-warm-up accumulator of one run."""
+
+    g_series: np.ndarray          # offered load per measured block
+    qd_sum: list                  # per-flow sum of queue depths
+    segments_sent: int = 0
+    retransmissions: int = 0
+    segment_losses: int = 0
+    loss_events: int = 0
+    w_at_loss_sum: float = 0.0
+    bursts_offered: int = 0
+    bursts_lost: int = 0
+    # cwnd over flows x blocks, summed one term at a time: builtin sum()
+    # compensates float sums on Python >= 3.12 and would change e_w
+    cw_sum: float = 0.0
+    cwnd_hist: dict = field(default_factory=dict)
+
+    def sample_flows(self, flows, b):
+        """End-of-block state of every flow; the cwnd histogram is sampled
+        every 8th block."""
+        cw_sum = self.cw_sum
+        qd_sum = self.qd_sum
+        for flow in flows:
+            cw_sum += flow.sender.cwnd
+            qd_sum[flow.idx] += len(flow.txq)
+        self.cw_sum = cw_sum
+        if (b & 7) == 0:
+            hist = self.cwnd_hist
+            for flow in flows:
+                key = int(flow.sender.cwnd)
+                hist[key] = hist.get(key, 0) + 1
+
+
+def _queue_actions(flow: _Flow, acts, seg_bytes: float):
+    """Put a sender's actions on the flow's FIFO device queue.
+
+    Retransmissions share the queue with new data.  A resend of a sequence
+    that still has an untransmitted copy queued is a no-op: that copy goes
+    out in admission order.  A tail-dropped segment is not marked queued,
+    so it cannot suppress a later resend of its sequence.
+    """
+    for a in acts:
+        epoch = 0
+        if a.retransmit:
+            if a.seq in flow.queued_untx:
+                continue
+            epoch = flow.epoch_of.get(a.seq, 0) + 1
+            flow.epoch_of[a.seq] = epoch
+        if flow.txq.push(SegmentRef(a.seq, seg_bytes, epoch)):
+            flow.queued_untx.add(a.seq)
+
+
+def _lose_burst(flow: _Flow, slices, tally: _Tally, measuring: bool):
+    """Kill every segment incarnation a lost burst carried.  A loss at or
+    past the end of the flow's current loss event opens a new event that
+    spans one window from it."""
+    for sl in slices:
+        key = (sl.seg.seg_seq, sl.seg.tx_epoch)
+        if key in flow.dead:
+            continue
+        flow.dead.add(key)
+        if measuring:
+            tally.segment_losses += 1
+        if sl.seg.seg_seq >= flow.event_end_seq:
+            w = flow.sender.cwnd
+            flow.event_end_seq = sl.seg.seg_seq + max(1, int(w))
+            if measuring:
+                tally.loss_events += 1
+                tally.w_at_loss_sum += w
 
 
 def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
@@ -138,7 +202,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
     n_slots = cfg.slots_per_block
     n_blocks = int(round(cfg.sim_duration_s / dt))
     warmup_block = int(round(cfg.warmup_s / dt))
-    half = _delay_blocks(cfg)
+    half = math.ceil(cfg.nominal_rtt_s / 2.0 / dt - 1e-9)    # one-way, in blocks
     proc = cfg.processing_delay_blocks
     # return path: burst propagates half an RTT, plus the block must be
     # fully received before SIC, plus return-side processing
@@ -159,90 +223,31 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             i, b=cfg.delayed_ack_b, initial_rto_s=cfg.initial_rto_s,
             rwnd_segments=cfg.buffer_segments, trace=trace,
         )
-        receiver = TcpReceiver(i, b=cfg.delayed_ack_b)
-        txq = TxQueue(i, capacity_segments=cfg.buffer_segments)
-        flows.append(_FlowRuntime(i, sender, receiver, txq, start_block))
+        receiver = TcpReceiver(b=cfg.delayed_ack_b)
+        txq = TxQueue(capacity_segments=cfg.buffer_segments)
+        flows.append(_Flow(i, sender, receiver, txq, start_block))
 
     acks_due = defaultdict(list)       # block -> [(flow_idx, ack_no)]
     arrivals_due = defaultdict(list)   # block -> [(flow_idx, slices)]
-
-    # post-warmup accumulators
-    sent_attempts = 0
-    retx_tx = 0
-    seg_losses = 0
-    loss_events = 0
-    w_at_loss_sum = 0.0
-    w_at_loss_n = 0
-    bursts_offered = 0
-    bursts_lost = 0
-    g_series = np.zeros(n_blocks - warmup_block, dtype=np.float64)
-    cw_sum = 0.0
-    cw_n = 0
-    qd_sum = [0.0] * cfg.n_rcst
-    cwnd_hist: dict[int, int] = {}
+    tally = _Tally(np.zeros(n_blocks - warmup_block, dtype=np.float64),
+                   [0.0] * cfg.n_rcst)
     base = None
-
-    def apply_actions(flow, acts):
-        # Retransmissions enter the same FIFO device queue as new data;
-        # a request for a segment that still has an untransmitted copy
-        # queued is a no-op (that copy will go out in admission order).
-        for a in acts:
-            if a.retransmit:
-                if a.seq in flow.queued_untx:
-                    continue
-                epoch = flow.epoch_of.get(a.seq, 0) + 1
-                flow.epoch_of[a.seq] = epoch
-                flow.txq.push(SegmentRef(flow.idx, a.seq, seg_bytes, epoch))
-                flow.queued_untx.add(a.seq)
-            else:
-                ok = flow.txq.push(SegmentRef(flow.idx, a.seq, seg_bytes, 0))
-                if ok:
-                    flow.queued_untx.add(a.seq)
-
-    def handle_lost_burst(flow, slices, measuring):
-        nonlocal seg_losses, loss_events, w_at_loss_sum, w_at_loss_n
-        seen = set()
-        for sl in slices:
-            key = (sl.seg.seg_seq, sl.seg.tx_epoch)
-            if key in seen or key in flow.dead:
-                continue
-            seen.add(key)
-            flow.dead.add(key)
-            flow.reasm.pop(key, None)
-            if measuring:
-                seg_losses += 1
-            if sl.seg.seg_seq >= flow.event_end_seq:
-                w = flow.sender.cwnd
-                flow.event_end_seq = sl.seg.seg_seq + max(1, int(w))
-                if measuring:
-                    loss_events += 1
-                    w_at_loss_sum += w
-                    w_at_loss_n += 1
-
-    def deliver_burst(flow, slices, now):
-        acks = []
-        for sl in slices:
-            key = (sl.seg.seg_seq, sl.seg.tx_epoch)
-            if key in flow.dead:
-                continue
-            if sl.is_final_fragment:
-                flow.reasm.pop(key, None)
-                acks.extend(flow.receiver.on_segment(sl.seg.seg_seq, now))
-            else:
-                flow.reasm[key] = flow.reasm.get(key, 0.0) + sl.bytes_in_burst
-        return acks
 
     for b in range(n_blocks):
         now = b * dt
         measuring = b >= warmup_block
         if b == warmup_block:
-            base = _snapshot(flows)
+            base = _counters(flows)
 
-        # 1. decoded bursts reach the gateway; receivers may ACK
+        # 1. decoded bursts reach the gateway; completed segments of live
+        # incarnations go to the receivers, which may ACK
         for fi, slices in arrivals_due.pop(b, ()):
             flow = flows[fi]
-            for ack in deliver_burst(flow, slices, now):
-                acks_due[b + delay_ack].append((fi, ack))
+            for sl in slices:
+                seg = sl.seg
+                if sl.is_final_fragment and (seg.seg_seq, seg.tx_epoch) not in flow.dead:
+                    for ack in flow.receiver.on_segment(seg.seg_seq, now):
+                        acks_due[b + delay_ack].append((fi, ack))
 
         # 2. per-flow housekeeping: delayed-ACK timers, flow starts, RTO
         for flow in flows:
@@ -251,15 +256,15 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
 
         for fi, ack_no in acks_due.pop(b, ()):
             flow = flows[fi]
-            apply_actions(flow, flow.sender.on_ack(ack_no, now))
+            _queue_actions(flow, flow.sender.on_ack(ack_no, now), seg_bytes)
 
         for flow in flows:
             if not flow.sender.started:
                 if b >= flow.start_block:
-                    apply_actions(flow, flow.sender.start(now))
+                    _queue_actions(flow, flow.sender.start(now), seg_bytes)
                 continue
             if flow.sender.timer_expired(now):
-                apply_actions(flow, flow.sender.on_timeout(now))
+                _queue_actions(flow, flow.sender.on_timeout(now), seg_bytes)
 
         # 3. MAC: one burst per backlogged terminal, then SIC.  The block
         # must be fully received before it can be decoded, so decoded
@@ -270,126 +275,96 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                 mac_rng, len(active), n_slots, cfg.replicas
             )
             burst_payloads = []
-            for k, flow in enumerate(active):
+            for flow in active:
                 slices = pack_next_burst(flow.txq, payload, max_distinct)
                 burst_payloads.append(slices)
-                flow.burst_counter += 1
                 for sl in slices:
                     flow.queued_untx.discard(sl.seg.seg_seq)
                     if measuring and sl.is_final_fragment:
-                        sent_attempts += 1
+                        tally.segments_sent += 1
                         if sl.seg.tx_epoch > 0:
-                            retx_tx += 1
+                            tally.retransmissions += 1
             decoded, lost = sic_decode(slot_rows.tolist())
             if measuring:
-                bursts_offered += len(active)
-                bursts_lost += len(lost)
-                g_series[b - warmup_block] = len(active) / n_slots
+                tally.bursts_offered += len(active)
+                tally.bursts_lost += len(lost)
+                tally.g_series[b - warmup_block] = len(active) / n_slots
             for k in sorted(decoded):
                 arrivals_due[b + delay_data].append((active[k].idx, burst_payloads[k]))
             for k in sorted(lost):
-                handle_lost_burst(active[k], burst_payloads[k], measuring)
+                _lose_burst(active[k], burst_payloads[k], tally, measuring)
 
         if measuring:
-            for flow in flows:
-                cw_sum += flow.sender.cwnd
-                cw_n += 1
-                qd_sum[flow.idx] += len(flow.txq)
-            if (b & 7) == 0:
-                for flow in flows:
-                    key = int(flow.sender.cwnd)
-                    cwnd_hist[key] = cwnd_hist.get(key, 0) + 1
+            tally.sample_flows(flows, b)
 
-    return _collect(cfg, flows, base, r, f, n_blocks, warmup_block,
-                    sent_attempts, retx_tx, seg_losses, loss_events,
-                    w_at_loss_sum, w_at_loss_n, bursts_offered, bursts_lost,
-                    g_series, cw_sum, cw_n, cwnd_hist, qd_sum)
+    return _metrics(cfg, flows, base, tally)
 
 
-def _snapshot(flows):
-    return {
-        "delivered": [f.receiver.delivered for f in flows],
-        "spurious": [f.receiver.spurious for f in flows],
-        "timeouts": [f.sender.timeouts for f in flows],
-        "rtt_sum": [f.sender.rtt_sum for f in flows],
-        "rtt_n": [f.sender.rtt_n for f in flows],
-        "overflow": [f.txq.overflow_drops for f in flows],
-    }
+def _counters(flows):
+    """The flows' monotone counters, one row per flow, in the column order
+    ``_metrics`` unpacks."""
+    return [(f.receiver.delivered, f.receiver.spurious, f.sender.timeouts,
+             f.sender.rtt_sum, f.sender.rtt_n, f.txq.overflow_drops)
+            for f in flows]
 
 
-def _collect(cfg, flows, base, r, f, n_blocks, warmup_block,
-             sent_attempts, retx_tx, seg_losses, loss_events,
-             w_at_loss_sum, w_at_loss_n, bursts_offered, bursts_lost,
-             g_series, cw_sum, cw_n, cwnd_hist, qd_sum) -> RunMetrics:
-    dt = cfg.block_duration_s
-    measured_s = (n_blocks - warmup_block) * dt
-    if base is None:
-        base = _snapshot(flows)   # degenerate: warmup covered the whole run
-
-    delivered_pf = [fl.receiver.delivered - b0
-                    for fl, b0 in zip(flows, base["delivered"])]
+def _metrics(cfg, flows, base, tally: _Tally) -> RunMetrics:
+    """Post-warm-up metrics from the flows, their counters at the warm-up
+    boundary (``base``, None if warm-up covered the whole run) and the
+    run's tally."""
+    r, f = fragmentation_profile(cfg)
+    g_series = tally.g_series
+    measured_s = g_series.size * cfg.block_duration_s
+    now = _counters(flows)
+    delivered_pf, spurious_pf, timeouts_pf, rtt_sum_pf, rtt_n_pf, overflow_pf = zip(
+        *([x - x0 for x, x0 in zip(row, row0)] for row, row0 in zip(now, base or now)))
+    rtt_n = sum(rtt_n_pf)
+    e_rtt = sum(rtt_sum_pf) / rtt_n if rtt_n else cfg.nominal_rtt_s
+    timeouts = sum(timeouts_pf)
     thr_pf = [d * cfg.mss_bytes * 8.0 / 1000.0 / measured_s for d in delivered_pf]
-    rtt_sum = sum(fl.sender.rtt_sum - b0 for fl, b0 in zip(flows, base["rtt_sum"]))
-    rtt_n = sum(fl.sender.rtt_n - b0 for fl, b0 in zip(flows, base["rtt_n"]))
-    e_rtt = rtt_sum / rtt_n if rtt_n else cfg.nominal_rtt_s
-    timeouts = sum(fl.sender.timeouts - b0 for fl, b0 in zip(flows, base["timeouts"]))
-    spurious = sum(fl.receiver.spurious - b0 for fl, b0 in zip(flows, base["spurious"]))
-    overflow = sum(fl.txq.overflow_drops - b0 for fl, b0 in zip(flows, base["overflow"]))
-
-    p = loss_events / sent_attempts if sent_attempts else 0.0
-    q = seg_losses / sent_attempts if sent_attempts else 0.0
-    blr = bursts_lost / bursts_offered if bursts_offered else 0.0
-    e_delta = (seg_losses / loss_events) if loss_events else 1.0
-    e_w = (w_at_loss_sum / w_at_loss_n) if w_at_loss_n else (
-        cw_sum / cw_n if cw_n else 0.0
-    )
     delivered_total = sum(delivered_pf)
+
+    sent, losses, events = tally.segments_sent, tally.segment_losses, tally.loss_events
+    flow_blocks = cfg.n_rcst * g_series.size
+    e_w_time_avg = tally.cw_sum / flow_blocks if flow_blocks else 0.0
     # timeout probability per round: mean timeouts per flow over the
     # number of rounds in the measurement window
     mean_tos = timeouts / cfg.n_rcst
     xi = mean_tos / (measured_s / e_rtt) if e_rtt > 0 and measured_s > 0 else 0.0
-
-    quarters = []
-    if g_series.size >= 4:
-        for chunk in np.array_split(g_series, 4):
-            quarters.append(float(chunk.mean()))
+    g_mean = float(g_series.mean()) if g_series.size else 0.0
+    quarters = ([float(c.mean()) for c in np.array_split(g_series, 4)]
+                if g_series.size >= 4 else [])
 
     return RunMetrics(
-        wf=cfg.waveform.wf_id,
-        mss=cfg.mss_bytes,
-        n_rcst=cfg.n_rcst,
-        r=r,
-        f=f,
-        seed=cfg.seed,
-        sim_duration_s=cfg.sim_duration_s,
-        warmup_s=cfg.warmup_s,
-        measured_s=measured_s,
-        blr=blr,
-        q=q,
-        p=p,
-        e_delta=e_delta,
-        e_w=e_w,
+        wf=cfg.waveform.wf_id, mss=cfg.mss_bytes, n_rcst=cfg.n_rcst, r=r, f=f,
+        seed=cfg.seed, sim_duration_s=cfg.sim_duration_s,
+        warmup_s=cfg.warmup_s, measured_s=measured_s,
+        blr=tally.bursts_lost / tally.bursts_offered if tally.bursts_offered else 0.0,
+        q=losses / sent if sent else 0.0,
+        p=events / sent if sent else 0.0,
+        e_delta=losses / events if events else 1.0,
+        e_w=tally.w_at_loss_sum / events if events else e_w_time_avg,
         e_rtt_s=e_rtt,
         thr_kbps=float(np.mean(thr_pf)) if thr_pf else 0.0,
         xi=xi,
-        g_mean=float(g_series.mean()) if g_series.size else 0.0,
-        load_per_rcst=(float(g_series.mean()) / cfg.n_rcst) if g_series.size else 0.0,
+        g_mean=g_mean,
+        load_per_rcst=g_mean / cfg.n_rcst,
         g_quarters=quarters,
         throughput_kbps_per_flow=thr_pf,
         segments_delivered=delivered_total,
-        segments_sent=sent_attempts,
-        bursts_offered=bursts_offered,
-        bursts_lost=bursts_lost,
-        loss_events=loss_events,
-        segment_losses=seg_losses,
-        retransmissions=retx_tx,
-        spurious_rtx=spurious,
+        segments_sent=sent,
+        bursts_offered=tally.bursts_offered,
+        bursts_lost=tally.bursts_lost,
+        loss_events=events,
+        segment_losses=losses,
+        retransmissions=tally.retransmissions,
+        spurious_rtx=sum(spurious_pf),
         timeouts=timeouts,
-        overflow_drops=overflow,
+        overflow_drops=sum(overflow_pf),
         nonconvergent=delivered_total == 0,
-        e_w_time_avg=(cw_sum / cw_n) if cw_n else 0.0,
-        cwnd_hist=cwnd_hist,
-        queue_depth_mean=[s / max(1, n_blocks - warmup_block) for s in qd_sum],
+        e_w_time_avg=e_w_time_avg,
+        cwnd_hist=tally.cwnd_hist,
+        queue_depth_mean=[s / max(1, g_series.size) for s in tally.qd_sum],
         flow_cycles=[fl.sender.cycles for fl in flows],
         g_series=g_series,
     )

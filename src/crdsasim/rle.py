@@ -20,7 +20,6 @@ _EPS = 1e-9
 class SegmentRef:
     """One TCP segment incarnation as seen by the MAC queue."""
 
-    flow_id: int
     seg_seq: int
     bytes_total: float          # MSS + per-segment overhead
     tx_epoch: int = 0           # bumped on every retransmission
@@ -39,7 +38,6 @@ class BurstSlice:
 class TxQueue:
     """Per-RCST FIFO of segments awaiting MAC transmission."""
 
-    flow_id: int
     capacity_segments: int = 10000
     pending: deque = field(default_factory=deque)
     cursor_seg: SegmentRef | None = None   # in-progress fragmented segment

@@ -81,7 +81,6 @@ class TcpSender:
         self.recover = 0
         self.rwnd = rwnd_segments
 
-        self.rto_base = initial_rto_s
         self.rto = initial_rto_s    # estimator output (>= MIN_RTO after a sample)
         self.srtt = None
         self.rttvar = None
@@ -321,8 +320,7 @@ class TcpSender:
 class TcpReceiver:
     """Cumulative-ACK receiver with delayed ACKs and duplicate detection."""
 
-    def __init__(self, flow_id: int, b: int = 2, ack_delay_s: float = 0.2):
-        self.flow_id = flow_id
+    def __init__(self, b: int = 2, ack_delay_s: float = 0.2):
         self.b = b
         self.ack_delay_s = ack_delay_s
         self.rcv_next = 1

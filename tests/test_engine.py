@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG
-from crdsasim.engine import RunMetrics, metrics_to_json, run, sweep
+from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG, parse_scenario_text
+from crdsasim.engine import RunMetrics, _Flow, _queue_actions, metrics_to_json, run, sweep
+from crdsasim.rle import SegmentRef, TxQueue
+from crdsasim.tcp import SendAction
 
 
 def make_cfg(wf=14, mss=173, n=5, dur=40.0, seed=11, **kw):
@@ -46,6 +48,14 @@ class TestDeterminism:
             metrics_to_json(b, make_cfg(n=8, dur=30.0, seed=5))
         assert (a.g_series == b.g_series).all()
 
+    def test_python_config_replays_byte_for_byte(self):
+        # ints in float fields are recorded as the floats the replay parses
+        cfg = ScenarioConfig(waveform=WAVEFORM_CATALOG[14], mss_bytes=173,
+                             n_rcst=2, sim_duration_s=5)
+        replay = parse_scenario_text(cfg.to_text())
+        assert metrics_to_json(run(cfg), cfg) == \
+            metrics_to_json(run(replay), replay)
+
     def test_different_seeds_differ(self):
         a = run(make_cfg(n=8, dur=30.0, seed=5))
         b = run(make_cfg(n=8, dur=30.0, seed=6))
@@ -80,6 +90,30 @@ class TestConservation:
         per_flow = np.array(m.throughput_kbps_per_flow)
         expect = per_flow * 1000.0 / 8.0 / cfg.mss_bytes * m.measured_s
         assert m.segments_delivered == pytest.approx(int(expect.sum()), abs=4)
+
+
+class TestQueueActions:
+    def make_flow(self, capacity):
+        return _Flow(0, None, None, TxQueue(capacity_segments=capacity), 0)
+
+    def test_dropped_retransmission_does_not_block_later_resends(self):
+        flow = self.make_flow(1)
+        flow.txq.push(SegmentRef(1, 188.0))
+        _queue_actions(flow, [SendAction(7, retransmit=True)], 188.0)
+        assert flow.txq.overflow_drops == 1
+        assert 7 not in flow.queued_untx
+        flow.txq = TxQueue(capacity_segments=1)
+        _queue_actions(flow, [SendAction(7, retransmit=True)], 188.0)
+        [seg] = flow.txq.pending
+        assert seg.seg_seq == 7 and seg.tx_epoch > 0
+        assert 7 in flow.queued_untx
+
+    def test_resend_of_queued_sequence_is_noop(self):
+        flow = self.make_flow(10)
+        _queue_actions(flow, [SendAction(3, retransmit=False),
+                              SendAction(3, retransmit=True)], 188.0)
+        assert [(s.seg_seq, s.tx_epoch) for s in flow.txq.pending] == [(3, 0)]
+        assert flow.queued_untx == {3}
 
 
 class TestMetrics:

@@ -5,7 +5,7 @@ from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
 
 
 def seg(n, total=188.0, epoch=0):
-    return SegmentRef(flow_id=0, seg_seq=n, bytes_total=total, tx_epoch=epoch)
+    return SegmentRef(seg_seq=n, bytes_total=total, tx_epoch=epoch)
 
 
 def fill(q, n, total=188.0):
@@ -15,7 +15,7 @@ def fill(q, n, total=188.0):
 
 class TestPacking:
     def test_exact_fit_one_segment_per_burst(self):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 3, total=188.0)
         for want in (1, 2, 3):
             slices = pack_next_burst(q, 188.0)
@@ -28,7 +28,7 @@ class TestPacking:
     def test_fragmentation_below_one(self):
         # 188-byte units into 32.9-byte payloads: ~5.7 bursts per segment,
         # every sixth burst straddling two segments
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 3, total=188.0)
         bursts = []
         while q.has_data():
@@ -42,7 +42,7 @@ class TestPacking:
     def test_packing_above_one_full_queue(self):
         # 38-byte units into a 216.6-byte payload: up to six distinct
         # segments per burst (five whole plus a fraction)
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 100, total=38.0)
         slices = pack_next_burst(q, 216.6, max_distinct=6)
         assert len({s.seg.seg_seq for s in slices}) == 6
@@ -51,7 +51,7 @@ class TestPacking:
         assert sum(s.bytes_in_burst for s in slices) == pytest.approx(216.6)
 
     def test_packing_above_one_short_queue_subutilizes(self):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 2, total=38.0)
         slices = pack_next_burst(q, 216.6, max_distinct=6)
         assert len(slices) == 2
@@ -59,7 +59,7 @@ class TestPacking:
         assert pack_next_burst(q, 216.6, max_distinct=6) is None
 
     def test_distinct_cap_respected_when_resuming(self):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 50, total=38.0)
         seen = []
         while q.has_data():
@@ -69,10 +69,10 @@ class TestPacking:
         assert len(seen) >= 9
 
     def test_empty_queue_returns_none(self):
-        assert pack_next_burst(TxQueue(0), 188.0) is None
+        assert pack_next_burst(TxQueue(), 188.0) is None
 
     def test_fifo_order_preserved(self):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 20, total=38.0)
         order = []
         while q.has_data():
@@ -88,7 +88,7 @@ class TestPacking:
     )
     @settings(max_examples=80, deadline=None)
     def test_byte_conservation(self, payload, unit, n):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, n, total=unit)
         emitted = 0.0
         for _ in range(10000):
@@ -101,7 +101,7 @@ class TestPacking:
 
 class TestOverflow:
     def test_tail_drop_counts(self):
-        q = TxQueue(0, capacity_segments=3)
+        q = TxQueue(capacity_segments=3)
         for i in range(5):
             q.push(seg(i))
         assert len(q.pending) == 3
@@ -116,18 +116,18 @@ def carried(slices):
 
 class TestBurstLoss:
     def test_single_segment_loss_for_exact_fit(self):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 3, total=188.0)
         assert carried(pack_next_burst(q, 188.0)) == {1}
 
     def test_full_burst_over_one_loses_f_segments(self):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 10, total=38.0)
         slices = pack_next_burst(q, 216.6, max_distinct=6)
         assert carried(slices) == {1, 2, 3, 4, 5, 6}
 
     def test_straddling_burst_loses_two(self):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 2, total=188.0)
         bursts = []
         while q.has_data():
@@ -136,7 +136,7 @@ class TestBurstLoss:
         assert carried(straddler) == {1, 2}
 
     def test_straddle_frequency_about_one_in_six(self):
-        q = TxQueue(0)
+        q = TxQueue()
         fill(q, 60, total=188.0)
         bursts = []
         while q.has_data():

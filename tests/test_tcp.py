@@ -84,7 +84,7 @@ class TestGrowth:
         # wall-clock trace can be compared to the analytical line
         s = steady_ca_sender(cwnd=10.0)
         s.ssthresh = 5.0
-        h = PipeHarness(s, TcpReceiver(0, b=2, ack_delay_s=0.001), delay=0.25)
+        h = PipeHarness(s, TcpReceiver(b=2, ack_delay_s=0.001), delay=0.25)
         rtt = 0.5
         n_rtts = 50
         h.run(n_rtts * rtt + 0.01)
@@ -97,14 +97,14 @@ class TestGrowth:
         # cwnd^2 ~= cwnd0^2 + 2*acked/b regardless of ACK batching
         s = steady_ca_sender(cwnd=10.0)
         s.ssthresh = 5.0
-        h = PipeHarness(s, TcpReceiver(0, b=2), delay=0.25)
+        h = PipeHarness(s, TcpReceiver(b=2), delay=0.25)
         h.run(30.0)
         acked = s.snd_una - 1
         assert s.cwnd ** 2 == pytest.approx(100.0 + 2 * acked / 2, rel=0.04)
 
     def test_ss_growth_factor(self):
         s = TcpSender(0, b=2, initial_cwnd=4.0, initial_ssthresh=1000.0)
-        h = PipeHarness(s, TcpReceiver(0, b=2), delay=0.25)
+        h = PipeHarness(s, TcpReceiver(b=2), delay=0.25)
         h.run(5 * 0.5 + 0.01)
         # x = 1 + 1/b per round from 4 segments
         assert s.cwnd == pytest.approx(4.0 * 1.5 ** 5, rel=0.15)
@@ -112,7 +112,7 @@ class TestGrowth:
 
     def test_ss_to_ca_transition_at_threshold(self):
         s = TcpSender(0, b=2, initial_cwnd=4.0, initial_ssthresh=6.0)
-        h = PipeHarness(s, TcpReceiver(0, b=2), delay=0.25)
+        h = PipeHarness(s, TcpReceiver(b=2), delay=0.25)
         h.run(3.0)
         assert s.phase == CONGESTION_AVOIDANCE
         assert s.cwnd >= 6.0
@@ -141,7 +141,7 @@ class TestAppSource:
 
 class TestDelayedAcks:
     def test_ack_every_b_segments(self):
-        r = TcpReceiver(0, b=2)
+        r = TcpReceiver(b=2)
         acks = []
         for seq in range(1, 8):           # 7 in-order segments
             acks += r.on_segment(seq, float(seq))
@@ -150,7 +150,7 @@ class TestDelayedAcks:
         assert acks == [3, 5, 7, 8]
 
     def test_out_of_order_acks_immediately(self):
-        r = TcpReceiver(0, b=2)
+        r = TcpReceiver(b=2)
         assert r.on_segment(1, 0.0) == []
         assert r.on_segment(3, 0.1) == [2]     # immediate dup
         assert r.on_segment(4, 0.2) == [2]
@@ -158,7 +158,7 @@ class TestDelayedAcks:
         assert r.delivered == 4
 
     def test_duplicate_segments_counted_spurious(self):
-        r = TcpReceiver(0, b=2)
+        r = TcpReceiver(b=2)
         r.on_segment(1, 0.0)
         r.on_segment(2, 0.1)
         assert r.spurious == 0
@@ -172,7 +172,7 @@ class TestDelayedAcks:
 class TestFastRecovery:
     def test_single_loss_rounds_and_exit(self):
         s = steady_ca_sender(cwnd=20.0)
-        h = PipeHarness(s, TcpReceiver(0, b=2), delay=0.25, lose_once={5})
+        h = PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5})
         h.run(4.0)
         assert s.fr_entries == 1
         assert s.timeouts == 0
@@ -188,7 +188,7 @@ class TestFastRecovery:
 
     def test_double_loss_round_law(self):
         s = steady_ca_sender(cwnd=20.0)
-        h = PipeHarness(s, TcpReceiver(0, b=2), delay=0.25, lose_once={5, 12})
+        h = PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5, 12})
         h.run(5.0)
         assert s.fr_entries == 1
         cycle = s.cycles[0]
@@ -199,7 +199,7 @@ class TestFastRecovery:
 
     def test_triple_loss_round_law(self):
         s = steady_ca_sender(cwnd=20.0)
-        h = PipeHarness(s, TcpReceiver(0, b=2), delay=0.25, lose_once={5, 9, 13})
+        h = PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5, 9, 13})
         h.run(6.0)
         cycle = s.cycles[0]
         assert cycle.fr_round_sends == [7, 8, 9]
@@ -217,12 +217,12 @@ class TestFastRecovery:
             return acts
 
         s._on_dup_ack = spy
-        PipeHarness(s, TcpReceiver(0, b=2), delay=0.25, lose_once={5}).run(3.0)
+        PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5}).run(3.0)
         assert captured == [3]
 
     def test_every_loss_retransmitted_exactly_once(self):
         s = steady_ca_sender(cwnd=20.0)
-        r = TcpReceiver(0, b=2)
+        r = TcpReceiver(b=2)
         h = PipeHarness(s, r, delay=0.25, lose_once={5, 12})
         h.run(8.0)
         retx = [seq for _, seq, is_r in h.sends if is_r]
@@ -275,7 +275,7 @@ class TestTimeouts:
 
     def test_total_loss_recovers_via_timeout(self):
         s = TcpSender(0, b=2, initial_cwnd=2.0)
-        r = TcpReceiver(0, b=2)
+        r = TcpReceiver(b=2)
         h = PipeHarness(s, r, delay=0.25, lose_once={1, 2})
         h.run(30.0)
         assert s.timeouts >= 1
@@ -283,7 +283,7 @@ class TestTimeouts:
 
     def test_no_timeout_when_acks_flow(self):
         s = steady_ca_sender(cwnd=30.0)
-        h = PipeHarness(s, TcpReceiver(0, b=2), delay=0.25)
+        h = PipeHarness(s, TcpReceiver(b=2), delay=0.25)
         h.run(60.0)
         assert s.timeouts == 0
         assert s.rto >= s.srtt + 4 * s.rttvar - 1e-9 or s.rto == 1.0
