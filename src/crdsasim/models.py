@@ -264,8 +264,8 @@ def slow_start_and_timeout_terms(p: float, b: int, e_w: float, rto_s: float,
     return s_ss, d_ss, d_to, degenerate
 
 
-def _base_estimate(model: str, params: LossProcessParams, tcp: TcpModelParams,
-                   mss_bytes: int | None) -> ThroughputEstimate:
+def _base_estimate(model: str, params: LossProcessParams,
+                   tcp: TcpModelParams) -> ThroughputEstimate:
     params.validate()
     tcp.validate()
     e_w = expected_window(params.p, params.q, tcp.b)
@@ -286,15 +286,13 @@ def _base_estimate(model: str, params: LossProcessParams, tcp: TcpModelParams,
     )
     if lev.degenerate:
         est.flags.append("window_below_four_segments")
-    est._mss = mss_bytes  # stashed for the finishers below
     return est
 
 
-def _finish(est: ThroughputEstimate, t_segments_per_s: float) -> ThroughputEstimate:
+def _finish(est: ThroughputEstimate, t_segments_per_s: float,
+            mss_bytes: int | None) -> ThroughputEstimate:
     est.t_segments_per_s = t_segments_per_s
-    mss = getattr(est, "_mss", None)
-    est.t_kbps = t_segments_per_s * mss * 8.0 / 1000.0 if mss else 0.0
-    del est._mss
+    est.t_kbps = t_segments_per_s * mss_bytes * 8.0 / 1000.0 if mss_bytes else 0.0
     return est
 
 
@@ -305,10 +303,10 @@ def throughput_no_to(params: LossProcessParams, tcp: TcpModelParams,
     T = ((E[W]-4)q + 1/p) /
         (E[RTT] { b(E[W]/2 + 1) + 1/2 + [1 + (E[W]-4)q] })   [segments/s]
     """
-    est = _base_estimate("newrenosat_noto", params, tcp, mss_bytes)
+    est = _base_estimate("newrenosat_noto", params, tcp)
     num = (est.e_w - 4.0) * params.q + 1.0 / params.p
     den = tcp.e_rtt_s * (est.d_ca_rounds + est.d_fr_rounds)
-    return _finish(est, num / den)
+    return _finish(est, num / den, mss_bytes)
 
 
 def full_cycle_rate(params: LossProcessParams, tcp: TcpModelParams,
@@ -347,7 +345,7 @@ def throughput_full(params: LossProcessParams, tcp: TcpModelParams,
                     mss_bytes: int | None = None) -> ThroughputEstimate:
     """Full-cycle throughput including timeout branches, with the branch
     weights taken from :func:`timeout_probabilities`."""
-    est = _base_estimate("newrenosat_full", params, tcp, mss_bytes)
+    est = _base_estimate("newrenosat_full", params, tcp)
     p_toca, p_tofr, degen = timeout_probabilities(params.p, params.q, est.e_w)
     s_ss, d_ss, d_to, degen_ss = slow_start_and_timeout_terms(
         params.p, tcp.b, est.e_w, tcp.rto_s, tcp.e_rtt_s
@@ -358,7 +356,7 @@ def throughput_full(params: LossProcessParams, tcp: TcpModelParams,
         est.flags.append("timeout_probabilities_truncated_support")
     if degen_ss:
         est.flags.append("slow_start_terms_degenerate")
-    return _finish(est, full_cycle_rate(params, tcp, p_toca, p_tofr))
+    return _finish(est, full_cycle_rate(params, tcp, p_toca, p_tofr), mss_bytes)
 
 
 def blr_model(blr: float, tcp: TcpModelParams, mode: str = "noto",
@@ -423,5 +421,4 @@ def pftk_baseline(params: LossProcessParams, tcp: TcpModelParams,
     e_w_pftk = math.sqrt(8.0 / (3.0 * b * p))    # window scale implied by p
     est = ThroughputEstimate(model="pftk", t_segments_per_s=0.0, t_kbps=0.0,
                              e_w=e_w_pftk)
-    est._mss = mss_bytes
-    return _finish(est, t)
+    return _finish(est, t, mss_bytes)
