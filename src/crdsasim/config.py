@@ -146,14 +146,23 @@ class ScenarioConfig:
         check(self.initial_rto_s > 0, "initial_rto_s must be > 0")
         check(self.buffer_segments >= 1, "buffer_segments must be >= 1")
         check(self.sim_duration_s > 0, "sim_duration_s must be > 0")
+        check(self.warmup_s >= 0, "warmup_s must be >= 0")
+        n_blocks, warmup_blocks = self.block_counts
         check(
-            0 <= self.warmup_s < self.sim_duration_s,
-            "warmup_s must lie in [0, sim_duration_s)",
+            warmup_blocks < n_blocks,
+            "warmup_s must round to fewer blocks than sim_duration_s",
         )
         check(self.rle_payload_bytes > 0, "rle_payload_bytes must be > 0")
         check(self.processing_delay_blocks >= 0,
               "processing_delay_blocks must be >= 0")
         check(self.seed == int(self.seed), "seed must be an integer")
+
+    @property
+    def block_counts(self) -> tuple[int, int]:
+        """RA blocks in the whole run and in its warm-up, each duration
+        rounded to the nearest block."""
+        dt = self.block_duration_s
+        return int(round(self.sim_duration_s / dt)), int(round(self.warmup_s / dt))
 
     @property
     def segment_bytes_on_air(self) -> int:

@@ -200,8 +200,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
     """Simulate one scenario and collect post-warmup statistics."""
     dt = cfg.block_duration_s
     n_slots = cfg.slots_per_block
-    n_blocks = int(round(cfg.sim_duration_s / dt))
-    warmup_block = int(round(cfg.warmup_s / dt))
+    n_blocks, warmup_block = cfg.block_counts
     half = math.ceil(cfg.nominal_rtt_s / 2.0 / dt - 1e-9)    # one-way, in blocks
     proc = cfg.processing_delay_blocks
     # return path: burst propagates half an RTT, plus the block must be
@@ -284,7 +283,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                         tally.segments_sent += 1
                         if sl.seg.tx_epoch > 0:
                             tally.retransmissions += 1
-            decoded, lost = sic_decode(slot_rows.tolist())
+            decoded, lost = sic_decode(slot_rows)
             if measuring:
                 tally.bursts_offered += len(active)
                 tally.bursts_lost += len(lost)
@@ -310,14 +309,14 @@ def _counters(flows):
 
 def _metrics(cfg, flows, base, tally: _Tally) -> RunMetrics:
     """Post-warm-up metrics from the flows, their counters at the warm-up
-    boundary (``base``, None if warm-up covered the whole run) and the
-    run's tally."""
+    boundary (``base``) and the run's tally.  The config guarantees at
+    least one measured block."""
     r, f = fragmentation_profile(cfg)
     g_series = tally.g_series
     measured_s = g_series.size * cfg.block_duration_s
     now = _counters(flows)
     delivered_pf, spurious_pf, timeouts_pf, rtt_sum_pf, rtt_n_pf, overflow_pf = zip(
-        *([x - x0 for x, x0 in zip(row, row0)] for row, row0 in zip(now, base or now)))
+        *([x - x0 for x, x0 in zip(row, row0)] for row, row0 in zip(now, base)))
     rtt_n = sum(rtt_n_pf)
     e_rtt = sum(rtt_sum_pf) / rtt_n if rtt_n else cfg.nominal_rtt_s
     timeouts = sum(timeouts_pf)
@@ -325,13 +324,12 @@ def _metrics(cfg, flows, base, tally: _Tally) -> RunMetrics:
     delivered_total = sum(delivered_pf)
 
     sent, losses, events = tally.segments_sent, tally.segment_losses, tally.loss_events
-    flow_blocks = cfg.n_rcst * g_series.size
-    e_w_time_avg = tally.cw_sum / flow_blocks if flow_blocks else 0.0
+    e_w_time_avg = tally.cw_sum / (cfg.n_rcst * g_series.size)
     # timeout probability per round: mean timeouts per flow over the
     # number of rounds in the measurement window
     mean_tos = timeouts / cfg.n_rcst
-    xi = mean_tos / (measured_s / e_rtt) if e_rtt > 0 and measured_s > 0 else 0.0
-    g_mean = float(g_series.mean()) if g_series.size else 0.0
+    xi = mean_tos / (measured_s / e_rtt) if e_rtt > 0 else 0.0
+    g_mean = float(g_series.mean())
     quarters = ([float(c.mean()) for c in np.array_split(g_series, 4)]
                 if g_series.size >= 4 else [])
 
@@ -364,7 +362,7 @@ def _metrics(cfg, flows, base, tally: _Tally) -> RunMetrics:
         nonconvergent=delivered_total == 0,
         e_w_time_avg=e_w_time_avg,
         cwnd_hist=tally.cwnd_hist,
-        queue_depth_mean=[s / max(1, g_series.size) for s in tally.qd_sum],
+        queue_depth_mean=[s / g_series.size for s in tally.qd_sum],
         flow_cycles=[fl.sender.cycles for fl in flows],
         g_series=g_series,
     )

@@ -4,7 +4,9 @@ A burst is one time-slot's payload; each unique burst is transmitted as
 ``replicas`` identical copies placed uniformly at random (without
 replacement) in one RA block.  Decoding peels singleton slots and cancels
 the decoded burst's replicas everywhere, assuming power-balanced terminals
-(perfect cancellation, no capture).
+(perfect cancellation, no capture).  One vectorised decoder serves both
+loops: the open-loop driver decodes thousands of blocks per call, the
+closed loop one block per call through :func:`sic_decode`.
 """
 
 from __future__ import annotations
@@ -58,46 +60,6 @@ def sample_replica_slots(rng: np.random.Generator, m: int, n_slots: int,
                                 dtype=np.int64)
 
 
-def sic_decode(replica_slots: list, max_iters: int = DEFAULT_MAX_ITERS):
-    """Iterative SIC over one block given each burst's replica slots.
-
-    Returns (decoded, lost) as sets of burst indices.  One iteration
-    decodes every currently-singleton slot and removes the decoded
-    bursts' replicas; the fixed point is independent of slot visiting
-    order, so a worklist is used instead of full passes.
-    """
-    counts = {}
-    occ = {}
-    for i, slots in enumerate(replica_slots):
-        for s in slots:
-            counts[s] = counts.get(s, 0) + 1
-            occ.setdefault(s, []).append(i)
-
-    n_bursts = len(replica_slots)
-    alive = [True] * n_bursts
-    decoded = set()
-
-    frontier = [s for s, c in counts.items() if c == 1]
-    iters = 0
-    while frontier and iters < max_iters:
-        iters += 1
-        next_frontier = []
-        for s in frontier:
-            if counts[s] != 1:
-                continue
-            b = next(i for i in occ[s] if alive[i])
-            alive[b] = False
-            decoded.add(b)
-            for rs in replica_slots[b]:
-                counts[rs] -= 1
-                if counts[rs] == 1:
-                    next_frontier.append(rs)
-        frontier = next_frontier
-
-    lost = set(range(n_bursts)) - decoded
-    return decoded, lost
-
-
 @dataclass
 class MacStats:
     """Open-loop MAC statistics over a batch of RA blocks."""
@@ -139,28 +101,44 @@ class MacStats:
 def _decode_batch(block_of_burst: np.ndarray, slot_matrix: np.ndarray,
                   n_blocks: int, n_slots: int,
                   max_iters: int = DEFAULT_MAX_ITERS) -> np.ndarray:
-    """Vectorized SIC over many independent blocks at once.
+    """Iterative SIC over many independent blocks at once.
 
     ``block_of_burst[i]`` is the block owning burst i and ``slot_matrix[i]``
-    its replica slots.  Returns a boolean decoded mask.  Semantically
-    identical to running :func:`sic_decode` per block (each global pass
-    decodes at least everything a per-block pass would).
+    its replica slots.  Returns a boolean decoded mask.  Each pass counts
+    the undecoded bursts' replicas per (block, slot), decodes every
+    undecoded burst with a replica alone in its slot, and keeps only the
+    rest for the next pass.  Decoding stops after ``max_iters`` passes or
+    at the first pass that decodes nothing.  Blocks share no slots, so each
+    block gets exactly the passes a decode of it alone would.
     """
     m = block_of_burst.shape[0]
     decoded = np.zeros(m, dtype=bool)
-    if m == 0:
-        return decoded
     keys = block_of_burst[:, None] * n_slots + slot_matrix  # (m, replicas)
-    alive = np.ones(m, dtype=bool)
+    alive = np.arange(m)                 # indices of the undecoded bursts
     total = n_blocks * n_slots
     for _ in range(max_iters):
-        counts = np.bincount(keys[alive].ravel(), minlength=total)
-        newly = alive & (counts[keys] == 1).any(axis=1)
+        counts = np.bincount(keys.ravel(), minlength=total)
+        newly = (counts[keys] == 1).any(axis=1)
         if not newly.any():
             break
-        decoded |= newly
-        alive &= ~newly
+        decoded[alive[newly]] = True
+        keep = ~newly
+        keys = keys[keep]
+        alive = alive[keep]
     return decoded
+
+
+def sic_decode(replica_slots, max_iters: int = DEFAULT_MAX_ITERS):
+    """Iterative SIC over one block given each burst's replica slots (a
+    sequence of rows or an (m, replicas) array): the one-block case of
+    :func:`_decode_batch`.  Returns (decoded, lost) as sets of burst
+    indices."""
+    slots = np.asarray(replica_slots, dtype=np.int64)
+    if slots.size == 0:
+        return set(), set()
+    mask = _decode_batch(np.zeros(slots.shape[0], dtype=np.int64), slots, 1,
+                         int(slots.max()) + 1, max_iters)
+    return set(np.flatnonzero(mask).tolist()), set(np.flatnonzero(~mask).tolist())
 
 
 def run_open_loop(cfg, tx_prob: float, blocks: int) -> MacStats:

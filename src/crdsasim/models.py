@@ -183,6 +183,11 @@ def binomial_loss_pmf(w: int, j: int, q: float) -> float:
     return math.comb(w - 4, j - 1) * (1.0 - q) ** (w - 3 - j) * q ** (j - 1)
 
 
+def _expected_delta(q: float, e_w: float) -> float:
+    """E[delta] = 1 + (E[W]-4)q: segments lost in one loss event."""
+    return 1.0 + (e_w - 4.0) * q
+
+
 def loss_event_quantities(p: float, q: float, e_w: float) -> LossEventQuantities:
     """E[alpha] = 1/p, E[gamma] = q(E[W]-4), E[delta] = 1 + (E[W]-4)q.
 
@@ -192,8 +197,8 @@ def loss_event_quantities(p: float, q: float, e_w: float) -> LossEventQuantities
     LossProcessParams(p, q).validate()
     e_alpha = 1.0 / p
     e_gamma = q * (e_w - 4.0)
-    e_delta = 1.0 + (e_w - 4.0) * q
-    return LossEventQuantities(e_alpha, e_gamma, e_delta, degenerate=e_w < 4.0)
+    return LossEventQuantities(e_alpha, e_gamma, _expected_delta(q, e_w),
+                               degenerate=e_w < 4.0)
 
 
 def cafr_segments_and_durations(p: float, q: float, b: int, e_w: float) -> CafrTerms:
@@ -205,7 +210,7 @@ def cafr_segments_and_durations(p: float, q: float, b: int, e_w: float) -> CafrT
     """
     e_x = b * (e_w / 2.0 + 1.0)
     e_beta = e_w / 2.0
-    e_delta = 1.0 + (e_w - 4.0) * q
+    e_delta = _expected_delta(q, e_w)
     s_ca = (e_x / 4.0) * 3.0 * e_w + e_beta
     if e_delta < e_w:
         s_fr = 0.5 * (e_delta * e_w - e_delta - e_delta * e_delta)
@@ -381,7 +386,7 @@ def blr_model(blr: float, tcp: TcpModelParams, mode: str = "noto",
     trail = []
     for _ in range(max_iters):
         e_w = _window_unchecked(p, q, tcp.b)   # iterate may transiently sit above q
-        p_next = blr / (1.0 + (e_w - 4.0) * blr)
+        p_next = blr / _expected_delta(blr, e_w)
         trail.append(p)
         if abs(p_next - p) < tol:
             p = p_next

@@ -46,7 +46,9 @@ def scenario_configs(draw):
         segment_overhead_bytes=draw(st.integers(0, 100)),
         buffer_segments=draw(st.integers(1, 100000)),
         sim_duration_s=sim,
-        warmup_s=draw(st.just(-1.0) | floats_in(0.0, sim * 0.99)),
+        # at most one block short of the run, so that at least one
+        # block is measured after rounding
+        warmup_s=draw(st.just(-1.0) | floats_in(0.0, (round(sim / block) - 1) * block)),
         seed=draw(st.integers(0, 2**32 - 1)),
         rle_payload_bytes=draw(st.just(0.0) | floats_in(1.0, 5000.0)),
         processing_delay_blocks=draw(st.integers(0, 20)),
@@ -153,6 +155,21 @@ class TestLoadScenario:
             make_cfg(replicas=100, slots_per_block=64)
         with pytest.raises(ConfigError, match="warmup_s"):
             make_cfg(sim_duration_s=10.0, warmup_s=10.0)
+
+    @pytest.mark.parametrize("kw", [
+        # 1.4 blocks of 13 ms and a warm-up of 0.6 blocks: both round to 1
+        dict(sim_duration_s=0.0182, warmup_s=0.0078),
+        dict(sim_duration_s=1.0, block_duration_s=0.1, warmup_s=0.99),
+        # the run itself rounds to no block at all
+        dict(sim_duration_s=0.006, warmup_s=0.0),
+    ])
+    def test_warmup_must_leave_a_measured_block(self, kw):
+        with pytest.raises(ConfigError, match="warmup_s"):
+            make_cfg(**kw)
+
+    def test_block_counts_round_to_nearest_block(self):
+        cfg = make_cfg(sim_duration_s=1.0, block_duration_s=0.1, warmup_s=0.86)
+        assert cfg.block_counts == (10, 9)
 
 
 class TestFragmentationProfile:

@@ -1,4 +1,7 @@
+import itertools
 import math
+from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG, make_rng
 from crdsasim.mac import (
     MacUsageError,
+    _decode_batch,
     run_open_loop,
     sample_replica_slots,
     sic_decode,
@@ -14,10 +18,37 @@ from crdsasim.mac import (
 )
 
 
+Z_99 = NormalDist().inv_cdf(0.995)
+
+
 def make_cfg(**kw):
     kw.setdefault("n_rcst", 50)
     kw.setdefault("mss_bytes", 173)
     return ScenarioConfig(waveform=WAVEFORM_CATALOG[14], **kw)
+
+
+def stopping_set_losses(rows):
+    """Bursts of one block that no SIC can decode: the union of every burst
+    set in which each slot touched by the set holds at least two of its
+    members (a stopping set).  Peeling never starts on such a set and,
+    uncapped, decodes every burst outside their union."""
+    lost = set()
+    for size in range(2, len(rows) + 1):
+        for subset in itertools.combinations(range(len(rows)), size):
+            touched = [s for i in subset for s in rows[i]]
+            if all(touched.count(s) >= 2 for s in touched):
+                lost.update(subset)
+    return lost
+
+
+def exact_loss_probability(m, n_slots, replicas):
+    """Per-burst loss probability of m bursts in one block, enumerated over
+    every placement; each burst's replica slot set is uniform over the
+    combinations of ``replicas`` distinct slots."""
+    choices = list(itertools.combinations(range(n_slots), replicas))
+    lost = sum(len(stopping_set_losses(rows))
+               for rows in itertools.product(choices, repeat=m))
+    return Fraction(lost, m * len(choices) ** m)
 
 
 class TestPlacement:
@@ -98,14 +129,41 @@ class TestSicDecode:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_conservation_property(self, data):
+        # k blocks decoded in one batch call agree, block by block, with k
+        # one-block calls at the same cap
         n_slots = data.draw(st.integers(2, 20))
-        m = data.draw(st.integers(0, 30))
         reps = data.draw(st.integers(1, min(3, n_slots)))
+        k = data.draw(st.integers(1, 4))
+        cap = data.draw(st.sampled_from([1, 2, 20]))
         rng = make_rng(data.draw(st.integers(0, 2**31 - 1)), 0)
-        rows = [tuple(r) for r in sample_replica_slots(rng, m, n_slots, reps).tolist()]
-        decoded, lost = sic_decode(rows)
-        assert decoded | lost == set(range(m))
-        assert decoded & lost == set()
+        blocks = [sample_replica_slots(rng, data.draw(st.integers(0, 30)), n_slots, reps)
+                  for _ in range(k)]
+        block_of_burst = np.repeat(np.arange(k), [len(rows) for rows in blocks])
+        mask = _decode_batch(block_of_burst, np.concatenate(blocks), k, n_slots, cap)
+        for j, rows in enumerate(blocks):
+            decoded, lost = sic_decode(rows.tolist(), cap)
+            assert decoded | lost == set(range(len(rows)))
+            assert decoded & lost == set()
+            assert decoded == set(np.flatnonzero(mask[block_of_burst == j]).tolist())
+
+
+class TestExactOracle:
+    def test_two_bursts_lost_only_on_the_same_slots(self):
+        for replicas in (2, 3):
+            assert exact_loss_probability(1, 5, replicas) == 0
+            assert exact_loss_probability(2, 5, replicas) == Fraction(1, 10)
+
+    @pytest.mark.parametrize("replicas", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_open_loop_matches_enumeration(self, m, replicas):
+        # every terminal transmits, so each block holds m bursts and the
+        # per-block lost counts are i.i.d. samples
+        cfg = make_cfg(seed=1, n_rcst=m, replicas=replicas, slots_per_block=5)
+        stats = run_open_loop(cfg, 1.0, 20000)
+        lost = (stats.offered_series - stats.decoded_series) / m
+        half_width = Z_99 * lost.std(ddof=1) / math.sqrt(lost.size)
+        exact = float(exact_loss_probability(m, 5, replicas))
+        assert abs(lost.mean() - exact) <= half_width
 
 
 class TestOpenLoop:
