@@ -85,13 +85,12 @@ class RunMetrics:
     e_w_time_avg: float
     cwnd_hist: dict
     queue_depth_mean: list = field(default_factory=list)
-    flow_cycles: list = field(default_factory=list, repr=False)
     g_series: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         d = {}
         for k, v in self.__dict__.items():
-            if k in ("flow_cycles", "g_series"):
+            if k == "g_series":
                 continue
             if isinstance(v, np.ndarray):
                 v = v.tolist()
@@ -110,16 +109,14 @@ class RunMetrics:
 
 @dataclass(slots=True)
 class _Flow:
-    """One terminal: its TCP endpoints, its device queue, and the engine's
-    view of the segment incarnations it has put on the air."""
+    """One terminal: its TCP endpoints, its device queue, the sequences
+    queued but not yet sent, and the end of its current loss event."""
 
     idx: int
     sender: TcpSender
     receiver: TcpReceiver
     txq: TxQueue
     start_block: int
-    epoch_of: dict = field(default_factory=dict)     # seq -> latest rtx epoch
-    dead: set = field(default_factory=set)           # (seq, epoch) killed by SIC
     queued_untx: set = field(default_factory=set)    # seqs queued, never sent
     event_end_seq: int = 0     # first seq past the current loss event
 
@@ -159,7 +156,8 @@ class _Tally:
 
 
 def _queue_actions(flow: _Flow, acts, seg_bytes: float):
-    """Put a sender's actions on the flow's FIFO device queue.
+    """Put a sender's actions on the flow's FIFO device queue, one new
+    segment incarnation per action.
 
     Retransmissions share the queue with new data.  A resend of a sequence
     that still has an untransmitted copy queued is a no-op: that copy goes
@@ -167,30 +165,27 @@ def _queue_actions(flow: _Flow, acts, seg_bytes: float):
     so it cannot suppress a later resend of its sequence.
     """
     for a in acts:
-        epoch = 0
-        if a.retransmit:
-            if a.seq in flow.queued_untx:
-                continue
-            epoch = flow.epoch_of.get(a.seq, 0) + 1
-            flow.epoch_of[a.seq] = epoch
-        if flow.txq.push(SegmentRef(a.seq, seg_bytes, epoch)):
+        if a.retransmit and a.seq in flow.queued_untx:
+            continue
+        if flow.txq.push(SegmentRef(a.seq, seg_bytes, a.retransmit)):
             flow.queued_untx.add(a.seq)
 
 
 def _lose_burst(flow: _Flow, slices, tally: _Tally, measuring: bool):
-    """Kill every segment incarnation a lost burst carried.  A loss at or
-    past the end of the flow's current loss event opens a new event that
-    spans one window from it."""
+    """Mark lost every segment incarnation a lost burst carried; one that
+    is already lost is not counted again.  A loss at or past the end of
+    the flow's current loss event opens a new event that spans one window
+    from it."""
     for sl in slices:
-        key = (sl.seg.seg_seq, sl.seg.tx_epoch)
-        if key in flow.dead:
+        seg = sl.seg
+        if seg.lost:
             continue
-        flow.dead.add(key)
+        seg.lost = True
         if measuring:
             tally.segment_losses += 1
-        if sl.seg.seg_seq >= flow.event_end_seq:
+        if seg.seg_seq >= flow.event_end_seq:
             w = flow.sender.cwnd
-            flow.event_end_seq = sl.seg.seg_seq + max(1, int(w))
+            flow.event_end_seq = seg.seg_seq + max(1, int(w))
             if measuring:
                 tally.loss_events += 1
                 tally.w_at_loss_sum += w
@@ -244,7 +239,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             flow = flows[fi]
             for sl in slices:
                 seg = sl.seg
-                if sl.is_final_fragment and (seg.seg_seq, seg.tx_epoch) not in flow.dead:
+                if sl.is_final_fragment and not seg.lost:
                     for ack in flow.receiver.on_segment(seg.seg_seq, now):
                         acks_due[b + delay_ack].append((fi, ack))
 
@@ -281,7 +276,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                     flow.queued_untx.discard(sl.seg.seg_seq)
                     if measuring and sl.is_final_fragment:
                         tally.segments_sent += 1
-                        if sl.seg.tx_epoch > 0:
+                        if sl.seg.retransmit:
                             tally.retransmissions += 1
             decoded, lost = sic_decode(slot_rows)
             if measuring:
@@ -363,7 +358,6 @@ def _metrics(cfg, flows, base, tally: _Tally) -> RunMetrics:
         e_w_time_avg=e_w_time_avg,
         cwnd_hist=tally.cwnd_hist,
         queue_depth_mean=[s / g_series.size for s in tally.qd_sum],
-        flow_cycles=[fl.sender.cycles for fl in flows],
         g_series=g_series,
     )
 

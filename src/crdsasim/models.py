@@ -271,6 +271,7 @@ def slow_start_and_timeout_terms(p: float, b: int, e_w: float, rto_s: float,
 
 def _base_estimate(model: str, params: LossProcessParams,
                    tcp: TcpModelParams) -> ThroughputEstimate:
+    """The cycle terms of ``model``; newrenosat_full adds the timeout terms."""
     params.validate()
     tcp.validate()
     e_w = expected_window(params.p, params.q, tcp.b)
@@ -291,6 +292,15 @@ def _base_estimate(model: str, params: LossProcessParams,
     )
     if lev.degenerate:
         est.flags.append("window_below_four_segments")
+    if model == "newrenosat_full":
+        est.p_toca, est.p_tofr, degen = timeout_probabilities(params.p, params.q, e_w)
+        est.s_ss, est.d_ss_s, est.d_to_s, degen_ss = slow_start_and_timeout_terms(
+            params.p, tcp.b, e_w, tcp.rto_s, tcp.e_rtt_s
+        )
+        if degen:
+            est.flags.append("timeout_probabilities_truncated_support")
+        if degen_ss:
+            est.flags.append("slow_start_terms_degenerate")
     return est
 
 
@@ -309,9 +319,7 @@ def throughput_no_to(params: LossProcessParams, tcp: TcpModelParams,
         (E[RTT] { b(E[W]/2 + 1) + 1/2 + [1 + (E[W]-4)q] })   [segments/s]
     """
     est = _base_estimate("newrenosat_noto", params, tcp)
-    num = (est.e_w - 4.0) * params.q + 1.0 / params.p
-    den = tcp.e_rtt_s * (est.d_ca_rounds + est.d_fr_rounds)
-    return _finish(est, num / den, mss_bytes)
+    return _finish(est, _cycle_rate(est, params, tcp, 0.0, 0.0), mss_bytes)
 
 
 def full_cycle_rate(params: LossProcessParams, tcp: TcpModelParams,
@@ -323,26 +331,28 @@ def full_cycle_rate(params: LossProcessParams, tcp: TcpModelParams,
     the rate reduces exactly to :func:`throughput_no_to` when both
     timeout probabilities are zero.
     """
+    est = _base_estimate("newrenosat_full", params, tcp)
+    return _cycle_rate(est, params, tcp, p_toca, p_tofr)
+
+
+def _cycle_rate(est: ThroughputEstimate, params: LossProcessParams,
+                tcp: TcpModelParams, p_toca: float, p_tofr: float) -> float:
+    """:func:`full_cycle_rate` from the cycle terms an estimate holds."""
     w_no = 1.0 - p_tofr - p_toca
     if not -1e-12 <= w_no <= 1.0 + 1e-12:
         raise ModelDomainError(
             f"inconsistent timeout probabilities: p_toca={p_toca}, p_tofr={p_tofr}"
         )
-    e_w = expected_window(params.p, params.q, tcp.b)
-    lev = loss_event_quantities(params.p, params.q, e_w)
-    terms = cafr_segments_and_durations(params.p, params.q, tcp.b, e_w)
-    s_ss, d_ss, d_to, _ = slow_start_and_timeout_terms(
-        params.p, tcp.b, e_w, tcp.rto_s, tcp.e_rtt_s
-    )
-    s_cafr = 1.0 / params.p + lev.e_gamma        # renewal identity total
-    s_ca = s_cafr - terms.s_fr
+    s_cafr = 1.0 / params.p + est.e_gamma        # renewal identity total
+    s_ca = s_cafr - est.s_fr
     rtt = tcp.e_rtt_s
+    d_cafr = est.d_ca_rounds + est.d_fr_rounds
     num = (w_no * s_cafr
-           + p_toca * (s_ss + s_ca)
-           + p_tofr * (s_ss + s_cafr))
-    den = (w_no * rtt * (terms.d_ca_rounds + terms.d_fr_rounds)
-           + p_toca * (d_ss + rtt * terms.d_ca_rounds + d_to)
-           + p_tofr * (d_ss + rtt * (terms.d_ca_rounds + terms.d_fr_rounds) + d_to))
+           + p_toca * (est.s_ss + s_ca)
+           + p_tofr * (est.s_ss + s_cafr))
+    den = (w_no * rtt * d_cafr
+           + p_toca * (est.d_ss_s + rtt * est.d_ca_rounds + est.d_to_s)
+           + p_tofr * (est.d_ss_s + rtt * d_cafr + est.d_to_s))
     return num / den
 
 
@@ -351,17 +361,7 @@ def throughput_full(params: LossProcessParams, tcp: TcpModelParams,
     """Full-cycle throughput including timeout branches, with the branch
     weights taken from :func:`timeout_probabilities`."""
     est = _base_estimate("newrenosat_full", params, tcp)
-    p_toca, p_tofr, degen = timeout_probabilities(params.p, params.q, est.e_w)
-    s_ss, d_ss, d_to, degen_ss = slow_start_and_timeout_terms(
-        params.p, tcp.b, est.e_w, tcp.rto_s, tcp.e_rtt_s
-    )
-    est.p_toca, est.p_tofr = p_toca, p_tofr
-    est.s_ss, est.d_ss_s, est.d_to_s = s_ss, d_ss, d_to
-    if degen:
-        est.flags.append("timeout_probabilities_truncated_support")
-    if degen_ss:
-        est.flags.append("slow_start_terms_degenerate")
-    return _finish(est, full_cycle_rate(params, tcp, p_toca, p_tofr), mss_bytes)
+    return _finish(est, _cycle_rate(est, params, tcp, est.p_toca, est.p_tofr), mss_bytes)
 
 
 def blr_model(blr: float, tcp: TcpModelParams, mode: str = "noto",

@@ -22,7 +22,8 @@ class SegmentRef:
 
     seg_seq: int
     bytes_total: float          # MSS + per-segment overhead
-    tx_epoch: int = 0           # bumped on every retransmission
+    retransmit: bool = False    # a resend of seg_seq, not its first copy
+    lost: bool = False          # a burst carrying part of it failed SIC
 
 
 @dataclass

@@ -13,7 +13,7 @@ avoidance adds 1/b segment per round regardless of ACK batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "SLOW_START",
@@ -22,7 +22,6 @@ __all__ = [
     "TIMEOUT_BACKOFF",
     "PHASE_NAMES",
     "SendAction",
-    "CycleRecord",
     "TcpSender",
     "TcpReceiver",
 ]
@@ -48,20 +47,6 @@ MIN_RTO_S = 1.0
 class SendAction:
     seq: int
     retransmit: bool
-
-
-@dataclass
-class CycleRecord:
-    """One renewal cycle: CA run plus the recovery episode ending it."""
-
-    kind: str                   # "CAFR" or "TO"
-    t_start: float
-    t_end: float
-    sends_ca: int
-    sends_fr: int
-    drop_window_w: float
-    losses_delta: int
-    fr_round_sends: list = field(default_factory=list)
 
 
 class TcpSender:
@@ -97,17 +82,8 @@ class TcpSender:
 
         # counters (monotone; callers snapshot at warmup)
         self.timeouts = 0
-        self.fr_entries = 0
         self.rtt_sum = 0.0
         self.rtt_n = 0
-
-        self.cycles: list[CycleRecord] = []
-        self._cycle_start = 0.0
-        self._sends_ca = 0
-        self._sends_fr = 0
-        self._fr_round_sends = None
-        self._fr_w = 0.0
-        self._fr_retx = 0
 
         self.trace = trace
 
@@ -144,26 +120,16 @@ class TcpSender:
             if self.resend_next <= self.resend_high:
                 seq = self.resend_next
                 self.resend_next += 1
-                acts.append(self._retransmit(now, seq))
+                acts.append(self._retransmit(seq))
                 continue
             seq = self.next_seq
             self.next_seq += 1
             self.send_time[seq] = now
-            if self.phase == FAST_RECOVERY:
-                self._sends_fr += 1
-                if self._fr_round_sends is not None:
-                    self._fr_round_sends[-1] += 1
-            else:
-                self._sends_ca += 1
             acts.append(SendAction(seq, retransmit=False))
         return acts
 
-    def _retransmit(self, now, seq) -> SendAction:
-        # retransmissions are tracked separately from the per-phase new-data
-        # send counts (the recovery round law counts fresh segments only)
+    def _retransmit(self, seq) -> SendAction:
         self.send_time.pop(seq, None)      # Karn: no sample from retransmits
-        if self.phase == FAST_RECOVERY:
-            self._fr_retx += 1
         return SendAction(seq, retransmit=True)
 
     def _take_rtt_sample(self, sample: float):
@@ -187,32 +153,12 @@ class TcpSender:
     def timer_expired(self, now) -> bool:
         return self.timer_deadline is not None and now >= self.timer_deadline - 1e-12
 
-    def _close_cycle(self, now, kind):
-        delta = max(1, self._fr_retx)
-        self.cycles.append(CycleRecord(
-            kind=kind,
-            t_start=self._cycle_start,
-            t_end=now,
-            sends_ca=self._sends_ca,
-            sends_fr=self._sends_fr,
-            drop_window_w=self._fr_w,
-            losses_delta=delta,
-            fr_round_sends=self._fr_round_sends or [],
-        ))
-        self._cycle_start = now
-        self._sends_ca = 0
-        self._sends_fr = 0
-        self._fr_round_sends = None
-        self._fr_w = 0.0
-        self._fr_retx = 0
-
     # -- events ------------------------------------------------------------
 
     def start(self, now) -> list[SendAction]:
         """Connection established (handshake collapsed into the start
         offset); emits the initial window."""
         self.started = True
-        self._cycle_start = now
         self._log(now, "start")
         acts = self._emit_new(now)
         self._restart_timer(now)
@@ -234,15 +180,12 @@ class TcpSender:
             self.cwnd += 1.0                # inflate for the departed segment
             acts += self._emit_new(now)
         elif self.dup_acks == 3 and self.snd_una - 1 > self.recover:
-            self.fr_entries += 1
-            self._fr_w = self.cwnd          # drop window size at loss
             self.ssthresh = max(self.cwnd / 2.0, 2.0)
             self.recover = self.next_seq - 1
             self.cwnd = self.ssthresh + 3.0
             self.phase = FAST_RECOVERY
-            self._fr_round_sends = [0]
             self._log(now, "fr_enter")
-            acts.append(self._retransmit(now, self.snd_una))
+            acts.append(self._retransmit(self.snd_una))
             acts += self._emit_new(now)
         return acts
 
@@ -267,14 +210,11 @@ class TcpSender:
                 self.phase = CONGESTION_AVOIDANCE
                 self.dup_acks = 0
                 self._log(now, "fr_exit")
-                self._close_cycle(now, "CAFR")
             else:
                 # partial ACK: deflate by the amount acked, inflate by one,
                 # retransmit the next hole (one lost segment per round)
                 self.cwnd = max(1.0, self.cwnd - newly + 1.0)
-                if self._fr_round_sends is not None:
-                    self._fr_round_sends.append(0)
-                acts.append(self._retransmit(now, self.snd_una))
+                acts.append(self._retransmit(self.snd_una))
         else:
             self.dup_acks = 0
             if self.phase == SLOW_START:
@@ -308,11 +248,10 @@ class TcpSender:
         self.recover = self.next_seq - 1
         self.backoff_exp = min(self.backoff_exp + 1, MAX_BACKOFF_EXP)
         self._log(now, "timeout")
-        act = self._retransmit(now, self.snd_una)
+        act = self._retransmit(self.snd_una)
         self.resend_next = self.snd_una + 1
         self.resend_high = self.next_seq - 1
         self.phase = SLOW_START
-        self._close_cycle(now, "TO")
         self._restart_timer(now)
         return [act]
 

@@ -259,8 +259,8 @@ class TestCriterion8SelfRegulation:
         cfg3 = scenario_cfg(10, wf=3, mss=23, sim_duration_s=600.0,
                             warmup_s=120.0)
         return {
-            14: sweep(cfg14, [120, 200, 300]),
-            3: sweep(cfg3, [110, 130, 150, 170]),
+            14: sweep(cfg14, [120, 200, 300], parallel=2),
+            3: sweep(cfg3, [110, 130, 150, 170], parallel=2),
         }
 
     def test_wf14_band(self, sweeps):

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
 
 
-def seg(n, total=188.0, epoch=0):
-    return SegmentRef(seg_seq=n, bytes_total=total, tx_epoch=epoch)
+def seg(n, total=188.0, retransmit=False):
+    return SegmentRef(seg_seq=n, bytes_total=total, retransmit=retransmit)
 
 
 def fill(q, n, total=188.0):

@@ -29,7 +29,7 @@ class PipeHarness:
         self.dropped = set()
         self.queue = []
         self.counter = itertools.count()
-        self.sends = []          # (time, seq, retransmit)
+        self.sends = []          # (time, seq, retransmit, sender phase)
         self.cwnd_log = []       # (time, cwnd) on each ack
 
     def _post(self, t, kind, data=None):
@@ -37,7 +37,7 @@ class PipeHarness:
 
     def _do(self, acts, now):
         for a in acts:
-            self.sends.append((now, a.seq, a.retransmit))
+            self.sends.append((now, a.seq, a.retransmit, self.sender.phase))
             if not a.retransmit and a.seq in self.lose_once \
                     and a.seq not in self.dropped:
                 self.dropped.add(a.seq)
@@ -68,6 +68,26 @@ class PipeHarness:
                 if self.sender.timer_expired(t):
                     self._do(self.sender.on_timeout(t), t)
         return self
+
+
+def fr_episodes(sends):
+    """Fast-recovery episodes read off the harness's send log, one list of
+    rounds per episode.  Each retransmission in FR opens a round, which
+    counts the fresh segments sent in FR after it."""
+    episodes = []
+    in_fr = False
+    for _, _, retransmit, phase in sends:
+        if phase != FAST_RECOVERY:
+            in_fr = False
+            continue
+        if not in_fr:
+            episodes.append([])
+            in_fr = True
+        if retransmit:
+            episodes[-1].append(0)
+        else:
+            episodes[-1][-1] += 1
+    return episodes
 
 
 def steady_ca_sender(cwnd=20.0, b=2):
@@ -174,14 +194,10 @@ class TestFastRecovery:
         s = steady_ca_sender(cwnd=20.0)
         h = PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5})
         h.run(4.0)
-        assert s.fr_entries == 1
         assert s.timeouts == 0
-        cycle = s.cycles[0]
-        assert cycle.kind == "CAFR"
-        assert cycle.drop_window_w == pytest.approx(20.0, abs=0.3)
-        # single-loss recovery sends W/2 - 1 fresh segments in one round
-        assert cycle.fr_round_sends == [9]
-        assert cycle.losses_delta == 1
+        # one episode; single-loss recovery sends W/2 - 1 fresh segments
+        # in one round, opened by its one retransmission
+        assert fr_episodes(h.sends) == [[9]]
         # post-exit window is half the drop window
         assert s.ssthresh == pytest.approx(10.0, abs=0.3)
         assert s.phase == CONGESTION_AVOIDANCE
@@ -190,20 +206,17 @@ class TestFastRecovery:
         s = steady_ca_sender(cwnd=20.0)
         h = PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5, 12})
         h.run(5.0)
-        assert s.fr_entries == 1
-        cycle = s.cycles[0]
-        # S_k = W/2 - delta + k - 1 for k = 1, 2
-        assert cycle.fr_round_sends == [8, 9]
-        assert cycle.losses_delta == 2
+        # one episode, delta = 2 rounds; S_k = W/2 - delta + k - 1
+        assert fr_episodes(h.sends) == [[8, 9]]
+        assert s.ssthresh == pytest.approx(10.0, abs=0.3)
         assert s.timeouts == 0
 
     def test_triple_loss_round_law(self):
         s = steady_ca_sender(cwnd=20.0)
         h = PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5, 9, 13})
         h.run(6.0)
-        cycle = s.cycles[0]
-        assert cycle.fr_round_sends == [7, 8, 9]
-        assert cycle.losses_delta == 3
+        assert fr_episodes(h.sends) == [[7, 8, 9]]
+        assert s.ssthresh == pytest.approx(10.0, abs=0.3)
 
     def test_entry_needs_exactly_three_dups(self):
         s = steady_ca_sender(cwnd=20.0)
@@ -225,7 +238,7 @@ class TestFastRecovery:
         r = TcpReceiver(b=2)
         h = PipeHarness(s, r, delay=0.25, lose_once={5, 12})
         h.run(8.0)
-        retx = [seq for _, seq, is_r in h.sends if is_r]
+        retx = [seq for _, seq, is_r, _ in h.sends if is_r]
         assert sorted(retx) == [5, 12]
         assert r.spurious == 0
         # in-order release: everything below rcv_next was delivered once
@@ -240,8 +253,8 @@ class TestTimeouts:
         s.next_seq = 4          # pretend 3 segments outstanding
         assert s.armed_rto() == pytest.approx(2.0)
         expect = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 128.0]
-        for want in expect:
-            s.on_timeout(float(len(s.cycles)))
+        for i, want in enumerate(expect):
+            s.on_timeout(float(i))
             assert s.armed_rto() == pytest.approx(want)
 
     def test_timeout_resets_window(self):
