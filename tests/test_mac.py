@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG, make_rng
+from crdsasim.config import MAC_STREAM, ScenarioConfig, WAVEFORM_CATALOG, make_rng
 from crdsasim.mac import (
     MacUsageError,
     _decode_batch,
@@ -70,6 +71,25 @@ class TestPlacement:
     def test_more_replicas_than_slots_rejected(self):
         with pytest.raises(MacUsageError):
             sample_replica_slots(make_rng(1, 0), 1, 2, 3)
+
+    @pytest.mark.parametrize("m, n_slots, replicas, digest, next_draw", [
+        (100_000, 194, 2,
+         "6f294bf663645d955b93aaa2b27459ad91c9a67428bee3763d714d0efe055f4b", 1729785602),
+        (100_000, 194, 3,
+         "d51b51e33ad45c58aca376d80d07832cf0773e5bde6e4c05de39f97a3a5e0675", 365582386),
+        (100_000, 194, 4,
+         "9853902f857c8fed42c0acb7db9e235a9c7186c7343bb801bbcccf5813f8e288", 2065785131),
+        (36, 64, 3,
+         "5ef36a78dd3f3cb911ff4ee26248f065d21bcb5403b14bed8411b50297591795", 768793750),
+    ])
+    def test_draws_pinned(self, m, n_slots, replicas, digest, next_draw):
+        # the placements and the MAC stream's state after the call: a
+        # rejection loop that redraws good rows, or redraws in another
+        # order, changes one or the other
+        rng = make_rng(1, MAC_STREAM)
+        out = sample_replica_slots(rng, m, n_slots, replicas)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+        assert int(rng.integers(0, 2**31)) == next_draw
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
