@@ -2,11 +2,15 @@
 
 A burst is one time-slot's payload; each unique burst is transmitted as
 ``replicas`` identical copies placed uniformly at random (without
-replacement) in one RA block.  Decoding peels singleton slots and cancels
-the decoded burst's replicas everywhere, assuming power-balanced terminals
-(perfect cancellation, no capture).  One vectorised decoder serves both
-loops: the open-loop driver decodes thousands of blocks per call, the
-closed loop one block per call through :func:`sic_decode`.
+replacement) in one RA block.  Placement rejection-resamples rows that
+repeat a slot, rechecking only the rows it just redrew: the others cannot
+have changed, and the redraws are the calls a recheck of every row would
+make, so the MAC stream's draws do not depend on how much is rechecked.
+Decoding peels singleton slots and cancels the decoded burst's replicas
+everywhere, assuming power-balanced terminals (perfect cancellation, no
+capture).  One vectorised decoder serves both loops: the open-loop driver
+decodes thousands of blocks per call, the closed loop one block per call
+through :func:`sic_decode`.
 """
 
 from __future__ import annotations
@@ -44,20 +48,27 @@ def sample_replica_slots(rng: np.random.Generator, m: int, n_slots: int,
 
     Rejection-resamples rows containing duplicate slots; with the block
     sizes in use here the duplicate probability per row is a few percent,
-    so this converges immediately while staying fully deterministic.
+    so this converges in a few rounds while staying fully deterministic.
+    Only the rows redrawn in a round can hold a duplicate in the next, so
+    each round checks just those, with one compare per pair of columns.
+    The redraws are the same calls, for the same rows in ascending order,
+    as a recheck of every row would make, so the draws are unchanged.
     """
     if replicas > n_slots:
         raise MacUsageError("replicas cannot exceed slots per block")
     out = rng.integers(0, n_slots, size=(m, replicas), dtype=np.int64)
-    if replicas == 1:
-        return out
+    idx = np.arange(m)                  # rows drawn in the last round
+    rows = out
     while True:
-        srt = np.sort(out, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not bad.any():
+        bad = np.zeros(idx.size, dtype=bool)
+        for a in range(replicas):
+            for b in range(a + 1, replicas):
+                bad |= rows[:, a] == rows[:, b]
+        idx = idx[bad]
+        if not idx.size:
             return out
-        out[bad] = rng.integers(0, n_slots, size=(int(bad.sum()), replicas),
-                                dtype=np.int64)
+        rows = rng.integers(0, n_slots, size=(idx.size, replicas), dtype=np.int64)
+        out[idx] = rows
 
 
 @dataclass
@@ -117,14 +128,18 @@ def _decode_batch(block_of_burst: np.ndarray, slot_matrix: np.ndarray,
     alive = np.arange(m)                 # indices of the undecoded bursts
     total = n_blocks * n_slots
     for _ in range(max_iters):
-        counts = np.bincount(keys.ravel(), minlength=total)
-        newly = (counts[keys] == 1).any(axis=1)
-        if not newly.any():
+        single = np.bincount(keys.ravel(), minlength=total) == 1
+        hit = single[keys]              # (alive, replicas) singleton replicas
+        newly = hit[:, 0]
+        for c in range(1, hit.shape[1]):
+            newly = newly | hit[:, c]
+        peeled = alive[newly]
+        if not peeled.size:
             break
-        decoded[alive[newly]] = True
-        keep = ~newly
-        keys = keys[keep]
-        alive = alive[keep]
+        decoded[peeled] = True
+        rest = np.flatnonzero(~newly)
+        keys = keys.take(rest, axis=0)  # rows; faster than keys[rest]
+        alive = alive[rest]
     return decoded
 
 
@@ -168,13 +183,12 @@ def run_open_loop(cfg, tx_prob: float, blocks: int) -> MacStats:
         tx = np.empty((n_rcst, nb), dtype=bool)
         for i, rng in enumerate(rcst_rngs):
             tx[i] = rng.random(nb) < tx_prob
-        offered_series[done:done + nb] = tx.sum(axis=0)
+        per_block = tx.sum(axis=0)
+        offered_series[done:done + nb] = per_block
 
-        rcst_idx, block_idx = np.nonzero(tx)          # burst per (rcst, block)
-        m = rcst_idx.shape[0]
+        m = int(per_block.sum())
         if m:
-            order = np.argsort(block_idx, kind="stable")
-            block_idx = block_idx[order]
+            block_idx = np.repeat(np.arange(nb), per_block)  # bursts by block
             slots = sample_replica_slots(mac_rng, m, n, cfg.replicas)
             dec = _decode_batch(block_idx, slots, nb, n)
             decoded_series[done:done + nb] = np.bincount(

@@ -52,6 +52,24 @@ def exact_loss_probability(m, n_slots, replicas):
     return Fraction(lost, m * len(choices) ** m)
 
 
+def peel_passes(rows, cap):
+    """Decoded bursts of one block: each of at most ``cap`` passes decodes,
+    all at once, every alive burst with a replica in a slot that no other
+    alive burst uses."""
+    alive, decoded = set(range(len(rows))), set()
+    for _ in range(cap):
+        holders = {}
+        for i in alive:
+            for s in rows[i]:
+                holders.setdefault(s, []).append(i)
+        newly = {hs[0] for hs in holders.values() if len(hs) == 1}
+        if not newly:
+            break
+        decoded |= newly
+        alive -= newly
+    return decoded
+
+
 class TestPlacement:
     def test_three_distinct_slots_in_range(self):
         slots = sample_replica_slots(make_rng(1, 0), 1, 64, 3)[0].tolist()
@@ -167,6 +185,30 @@ class TestSicDecode:
             assert decoded == set(np.flatnonzero(mask[block_of_burst == j]).tolist())
 
 
+class TestBatchOracle:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_python_peel(self, data):
+        # up to 64 blocks of up to 12 bursts, empty blocks included, checked
+        # block by block against a decoder that shares no code with mac
+        n_slots = data.draw(st.integers(1, 10))
+        reps = data.draw(st.integers(1, min(3, n_slots)))
+        cap = data.draw(st.sampled_from([1, 2, 3, 20, 10**6]))
+        row = st.lists(st.integers(0, n_slots - 1), min_size=reps,
+                       max_size=reps, unique=True)
+        blocks = data.draw(st.lists(st.lists(row, max_size=12),
+                                    min_size=1, max_size=64))
+        sizes = [len(rows) for rows in blocks]
+        block_of_burst = np.repeat(np.arange(len(blocks)), sizes)
+        slot_matrix = np.array([r for rows in blocks for r in rows],
+                               dtype=np.int64).reshape(-1, reps)
+        mask = _decode_batch(block_of_burst, slot_matrix, len(blocks), n_slots, cap)
+        assert mask.dtype == bool and mask.shape == (sum(sizes),)
+        for j, rows in enumerate(blocks):
+            got = set(np.flatnonzero(mask[block_of_burst == j]).tolist())
+            assert got == peel_passes(rows, cap), (rows, cap)
+
+
 class TestExactOracle:
     def test_two_bursts_lost_only_on_the_same_slots(self):
         for replicas in (2, 3):
@@ -244,3 +286,21 @@ class TestOpenLoop:
             cfg = make_cfg(seed=17, n_rcst=n_rcst, replicas=1, slots_per_block=50)
             blrs.append(run_open_loop(cfg, 0.5, 3000).blr)
         assert blrs[0] < blrs[1] < blrs[2]
+
+
+class TestFrameSize:
+    @staticmethod
+    def curve(n_slots, wf, mss):
+        cfg = ScenarioConfig(waveform=WAVEFORM_CATALOG[wf], mss_bytes=mss,
+                             n_rcst=2 * n_slots, sim_duration_s=1.0, seed=5)
+        return {g: run_open_loop(cfg, g * n_slots / cfg.n_rcst, 20_000)
+                for g in (0.6, 0.7, 0.8, 0.9)}
+
+    def test_larger_frame_decodes_more_per_slot(self):
+        # CRDSA++ gains from frame size: at G = 0.7 a 194-slot frame (WF3)
+        # carries more per slot than a 64-slot one (WF14)
+        large = self.curve(194, 3, 23)
+        small = self.curve(64, 14, 173)
+        assert large[0.7].throughput_per_slot > small[0.7].throughput_per_slot
+        for stats in [*large.values(), *small.values()]:
+            assert stats.throughput_per_slot <= stats.g_mean
