@@ -46,6 +46,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
         w.writerows(rows)
 
 
+def _comma_list(text: str, kind, flag: str) -> list:
+    """The nonempty comma list ``text`` of ``kind`` values given to ``flag``;
+    a missing or malformed item is a usage error."""
+    try:
+        items = [kind(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ConfigError(f"{flag}: {text!r} is not a comma list of "
+                          f"{kind.__name__} values") from None
+    if not items:
+        raise ConfigError(f"empty {flag}")
+    return items
+
+
 def evaluate_model(name: str, sim: dict, cfg: dict):
     """Evaluate one named model on a simulated metrics dict.
 
@@ -148,9 +161,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed_override is not None:
         cfg = cfg.with_overrides(seed=args.seed_override)
-    n_list = [int(x) for x in args.n_list.split(",") if x]
-    if not n_list:
-        raise ConfigError("empty --n-list")
+    n_list = _comma_list(args.n_list, int, "--n-list")
     results = sweep(cfg, n_list, parallel=args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,9 +195,11 @@ def _cmd_mac_curve(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed_override is not None:
         cfg = cfg.with_overrides(seed=args.seed_override)
-    grid = [float(x) for x in args.tx_grid.split(",") if x]
-    if not grid:
-        raise ConfigError("empty --tx-grid")
+    grid = _comma_list(args.tx_grid, float, "--tx-grid")
+    if not all(0.0 <= tx <= 1.0 for tx in grid):
+        raise ConfigError("--tx-grid values must lie in [0, 1]")
+    if args.blocks < 1:
+        raise ConfigError("--blocks must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -1,11 +1,14 @@
 """Discrete-event simulation at RA-block granularity.
 
-Each block: ACKs due this block drive the senders, expired retransmission
-timers fire, every terminal with queued data seals exactly one burst
-(replicas placed by the shared MAC stream), the block is SIC-decoded,
-decoded payloads travel to the gateway over half the nominal RTT, and
-ACKs ride a lossless forward link back over the other half.  One-way
-delays are rounded up to the next block boundary.
+Each block, in order: the decoded bursts due reach the gateway and the
+ACKs due drive the senders; one pass over the flows, in index order, polls
+each delayed-ACK timer, starts the flow or fires its expired retransmission
+timer, samples its window and notes whether it is backlogged; the shared
+MAC stream places one burst per backlogged terminal and SIC decodes the
+block; one pass over the bursts, in flow order, packs each payload, samples
+the queue depth and loses the burst or sends it on.  Decoded payloads travel to the gateway over half
+the nominal RTT, and ACKs ride a lossless forward link back over the other
+half.  One-way delays are rounded up to the next block boundary.
 
 Losses are never signalled to senders; they surface as duplicate ACKs or
 timer expirations, exactly as on the wire.
@@ -137,22 +140,7 @@ class _Tally:
     # cwnd over flows x blocks, summed one term at a time: builtin sum()
     # compensates float sums on Python >= 3.12 and would change e_w
     cw_sum: float = 0.0
-    cwnd_hist: dict = field(default_factory=dict)
-
-    def sample_flows(self, flows, b):
-        """End-of-block state of every flow; the cwnd histogram is sampled
-        every 8th block."""
-        cw_sum = self.cw_sum
-        qd_sum = self.qd_sum
-        for flow in flows:
-            cw_sum += flow.sender.cwnd
-            qd_sum[flow.idx] += len(flow.txq)
-        self.cw_sum = cw_sum
-        if (b & 7) == 0:
-            hist = self.cwnd_hist
-            for flow in flows:
-                key = int(flow.sender.cwnd)
-                hist[key] = hist.get(key, 0) + 1
+    cwnd_hist: dict = field(default_factory=dict)   # sampled every 8th block
 
 
 def _queue_actions(flow: _Flow, acts, seg_bytes: float):
@@ -234,7 +222,8 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             base = _counters(flows)
 
         # 1. decoded bursts reach the gateway; completed segments of live
-        # incarnations go to the receivers, which may ACK
+        # incarnations go to the receivers, which may ACK; then the ACKs
+        # due this block drive the senders
         for fi, slices in arrivals_due.pop(b, ()):
             flow = flows[fi]
             for sl in slices:
@@ -243,53 +232,60 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                     for ack in flow.receiver.on_segment(seg.seg_seq, now):
                         acks_due[b + delay_ack].append((fi, ack))
 
-        # 2. per-flow housekeeping: delayed-ACK timers, flow starts, RTO
-        for flow in flows:
-            for ack in flow.receiver.poll_timer(now):
-                acks_due[b + delay_ack].append((flow.idx, ack))
-
         for fi, ack_no in acks_due.pop(b, ()):
             flow = flows[fi]
             _queue_actions(flow, flow.sender.on_ack(ack_no, now), seg_bytes)
 
+        # 2. one pass over the flows.  Delayed-ACK timers may fire after this
+        # block's ACKs: nominal_rtt_s >= block_duration_s makes delay_ack
+        # >= 1.  Nothing after this pass changes a window, so the sample is
+        # the flow's end-of-block state.
+        hist_block = measuring and (b & 7) == 0
+        cw_sum = tally.cw_sum
+        active = []
         for flow in flows:
-            if not flow.sender.started:
-                if b >= flow.start_block:
-                    _queue_actions(flow, flow.sender.start(now), seg_bytes)
-                continue
-            if flow.sender.timer_expired(now):
-                _queue_actions(flow, flow.sender.on_timeout(now), seg_bytes)
-
-        # 3. MAC: one burst per backlogged terminal, then SIC.  The block
-        # must be fully received before it can be decoded, so decoded
-        # payloads surface one block after the propagation delay.
-        active = [flow for flow in flows if flow.txq.has_data()]
-        if active:
-            slot_rows = sample_replica_slots(
-                mac_rng, len(active), n_slots, cfg.replicas
-            )
-            burst_payloads = []
-            for flow in active:
-                slices = pack_next_burst(flow.txq, payload, max_distinct)
-                burst_payloads.append(slices)
-                for sl in slices:
-                    flow.queued_untx.discard(sl.seg.seg_seq)
-                    if measuring and sl.is_final_fragment:
-                        tally.segments_sent += 1
-                        if sl.seg.retransmit:
-                            tally.retransmissions += 1
-            decoded, lost = sic_decode(slot_rows)
+            sender = flow.sender
+            for ack in flow.receiver.poll_timer(now):
+                acks_due[b + delay_ack].append((flow.idx, ack))
+            if sender.started:
+                if sender.timer_expired(now):
+                    _queue_actions(flow, sender.on_timeout(now), seg_bytes)
+            elif b >= flow.start_block:
+                _queue_actions(flow, sender.start(now), seg_bytes)
             if measuring:
-                tally.bursts_offered += len(active)
-                tally.bursts_lost += len(lost)
-                tally.g_series[b - warmup_block] = len(active) / n_slots
-            for k in sorted(decoded):
-                arrivals_due[b + delay_data].append((active[k].idx, burst_payloads[k]))
-            for k in sorted(lost):
-                _lose_burst(active[k], burst_payloads[k], tally, measuring)
+                cw_sum += sender.cwnd
+                if hist_block:
+                    key = int(sender.cwnd)
+                    tally.cwnd_hist[key] = tally.cwnd_hist.get(key, 0) + 1
+            if flow.txq.has_data():
+                active.append(flow)
+        tally.cw_sum = cw_sum
 
+        # 3. MAC: placement and SIC depend only on the number of bursts, so
+        # both come before packing.  Decoded payloads surface one block after
+        # the propagation delay, as the block must be fully received first.
+        if not active:
+            continue
+        _, lost = sic_decode(
+            sample_replica_slots(mac_rng, len(active), n_slots, cfg.replicas))
         if measuring:
-            tally.sample_flows(flows, b)
+            tally.bursts_offered += len(active)
+            tally.bursts_lost += len(lost)
+            tally.g_series[b - warmup_block] = len(active) / n_slots
+        for k, flow in enumerate(active):
+            slices = pack_next_burst(flow.txq, payload, max_distinct)
+            for sl in slices:
+                flow.queued_untx.discard(sl.seg.seg_seq)
+                if measuring and sl.is_final_fragment:
+                    tally.segments_sent += 1
+                    if sl.seg.retransmit:
+                        tally.retransmissions += 1
+            if measuring:
+                tally.qd_sum[flow.idx] += len(flow.txq)
+            if k in lost:
+                _lose_burst(flow, slices, tally, measuring)
+            else:
+                arrivals_due[b + delay_data].append((flow.idx, slices))
 
     return _metrics(cfg, flows, base, tally)
 

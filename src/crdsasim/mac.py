@@ -73,16 +73,30 @@ def sample_replica_slots(rng: np.random.Generator, m: int, n_slots: int,
 
 @dataclass
 class MacStats:
-    """Open-loop MAC statistics over a batch of RA blocks."""
+    """Open-loop MAC statistics over a batch of RA blocks: the per-block
+    counts, and what follows from them."""
 
-    n_blocks: int
     n_rcst: int
     slots_per_block: int
-    bursts_offered: int
-    bursts_decoded: int
-    g_series: np.ndarray            # per-block normalized offered load
-    offered_series: np.ndarray = None   # per-block unique burst counts
-    decoded_series: np.ndarray = None
+    offered_series: np.ndarray      # per-block unique burst counts
+    decoded_series: np.ndarray
+
+    @property
+    def n_blocks(self) -> int:
+        return self.offered_series.size
+
+    @property
+    def g_series(self) -> np.ndarray:
+        """Per-block normalized offered load."""
+        return self.offered_series / self.slots_per_block
+
+    @property
+    def bursts_offered(self) -> int:
+        return int(self.offered_series.sum())
+
+    @property
+    def bursts_decoded(self) -> int:
+        return int(self.decoded_series.sum())
 
     @property
     def bursts_lost(self) -> int:
@@ -91,12 +105,12 @@ class MacStats:
     @property
     def blr(self) -> float:
         if self.bursts_offered == 0:
-            return 0.0              # zero-sample case, see bursts_offered
+            return 0.0              # tx_prob = 0 offers no burst
         return self.bursts_lost / self.bursts_offered
 
     @property
     def g_mean(self) -> float:
-        return float(self.g_series.mean()) if self.n_blocks else 0.0
+        return float(self.g_series.mean())
 
     @property
     def load_per_rcst(self) -> float:
@@ -105,8 +119,7 @@ class MacStats:
     @property
     def throughput_per_slot(self) -> float:
         """Decoded unique bursts per time-slot (normalized MAC throughput)."""
-        total_slots = self.n_blocks * self.slots_per_block
-        return self.bursts_decoded / total_slots if total_slots else 0.0
+        return self.bursts_decoded / (self.n_blocks * self.slots_per_block)
 
 
 def _decode_batch(block_of_burst: np.ndarray, slot_matrix: np.ndarray,
@@ -168,6 +181,8 @@ def run_open_loop(cfg, tx_prob: float, blocks: int) -> MacStats:
 
     if not 0.0 <= tx_prob <= 1.0:
         raise ValueError("tx_prob must lie in [0, 1]")
+    if blocks < 1:
+        raise ValueError("blocks must be >= 1")
     n = cfg.slots_per_block
     n_rcst = cfg.n_rcst
     mac_rng = make_rng(cfg.seed, MAC_STREAM)
@@ -196,16 +211,8 @@ def run_open_loop(cfg, tx_prob: float, blocks: int) -> MacStats:
             )
         done += nb
 
-    return MacStats(
-        n_blocks=blocks,
-        n_rcst=n_rcst,
-        slots_per_block=n,
-        bursts_offered=int(offered_series.sum()),
-        bursts_decoded=int(decoded_series.sum()),
-        g_series=offered_series / n,
-        offered_series=offered_series,
-        decoded_series=decoded_series,
-    )
+    return MacStats(n_rcst=n_rcst, slots_per_block=n,
+                    offered_series=offered_series, decoded_series=decoded_series)
 
 
 def slotted_aloha_blr(n_slots: int, n_rcst: int, tx_prob: float) -> float:

@@ -168,7 +168,8 @@ def equated_sums_residual(p: float, q: float, b: int, e_w: float) -> float:
     The closed form in :func:`expected_window` carries O(q) algebraic
     simplifications, so this residual is small but not zero at its root.
     """
-    lhs = 1.0 / p + q * (e_w - 4.0)
+    lev = loss_event_quantities(p, q, e_w)
+    lhs = lev.e_alpha + lev.e_gamma
     terms = cafr_segments_and_durations(p, q, b, e_w)
     rhs = terms.s_ca + terms.s_fr
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -7,7 +7,9 @@ every number here is reproducible bit for bit.
 """
 
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -55,13 +57,19 @@ def scenario_cfg(n, mss=173, wf=14, **kw):
                           n_rcst=n, **kw)
 
 
+def run_all(cfgs):
+    """Independent runs, two at a time; each is a pure function of its
+    config, so the results equal serial runs."""
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as ex:
+        return list(ex.map(run, cfgs))
+
+
 @pytest.fixture(scope="session")
 def scenario_runs():
     """WF14 / MSS 173 runs for N in {30, 50, 70} (criteria 6 and 7)."""
-    out = {}
-    for n in SCENARIO_TARGETS:
-        out[n] = run(scenario_cfg(n))
-    return out
+    return dict(zip(SCENARIO_TARGETS,
+                    run_all([scenario_cfg(n) for n in SCENARIO_TARGETS])))
 
 
 class TestCriterion1ModelArithmetic:
@@ -290,11 +298,12 @@ class TestCriterion8SelfRegulation:
 
 class TestCriterion9FragmentationPenalty:
     def test_small_mss_strictly_worse(self):
+        ns = (30, 50, 70)
+        runs = run_all([scenario_cfg(n, mss=mss, sim_duration_s=400.0,
+                                     warmup_s=80.0)
+                        for n in ns for mss in (173, 23)])
         lines = []
-        for n in (30, 50, 70):
-            big = run(scenario_cfg(n, sim_duration_s=400.0, warmup_s=80.0))
-            small = run(scenario_cfg(n, mss=23, sim_duration_s=400.0,
-                                     warmup_s=80.0))
+        for n, big, small in zip(ns, runs[::2], runs[1::2]):
             lines.append(f"N={n}: mss23 {small.thr_kbps:.2f} < mss173 "
                          f"{big.thr_kbps:.2f}")
             assert small.thr_kbps < big.thr_kbps

@@ -169,6 +169,12 @@ class TestSweep:
                    "--out", str(tmp_path / "sw")])
         assert rc == 2
 
+    def test_malformed_n_list_exit_2(self, config_file, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(config_file), "--n-list", "x",
+                   "--out", str(tmp_path / "sw")])
+        assert rc == 2
+        assert "--n-list" in capsys.readouterr().err
+
 
 class TestMacCurve:
     def test_curve_csv_and_peak(self, tmp_path, capsys):
@@ -183,6 +189,19 @@ class TestMacCurve:
         assert rows[0] == ["tx_prob", "g_mean", "throughput_per_slot", "blr"]
         assert len(rows) == 4
         assert "G*" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--blocks", "0"), ("--blocks", "-3"),
+        ("--tx-grid", "1.5"), ("--tx-grid", "abc"),
+    ])
+    def test_usage_error_exit_2(self, tmp_path, capsys, flag, value):
+        cfg = tmp_path / "mac.cfg"
+        cfg.write_text("waveform_id = 14\nn_rcst = 128\n")
+        opts = {"--tx-grid": "0.1", "--blocks": "10", flag: value}
+        rc = main(["mac-curve", "--config", str(cfg), "--out", str(tmp_path / "mc"),
+                   *[x for kv in opts.items() for x in kv]])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
 
     def test_empty_grid_exit_2(self, tmp_path):
         cfg = tmp_path / "mac.cfg"

@@ -168,6 +168,25 @@ class TestMetrics:
         assert set(row) == {"wf", "mss", "n_rcst", "blr", "r", "f", "q", "p",
                             "e_delta", "e_rtt", "thr_kbps", "xi"}
 
+    def test_every_flow_sampled_on_every_measured_block(self):
+        # 50 blocks, 10 of them warm-up, flow starts staggered over 80
+        # blocks: several flows start after the warm-up, and at seed 1
+        # flow 12 never starts
+        cfg12 = make_cfg(n=12, dur=0.65, seed=1, warmup_s=0.13)
+        cfg13 = cfg12.with_overrides(n_rcst=13)
+        m12, m13 = run(cfg12), run(cfg13)
+        # flow 12 offered no burst, so flows 0-11 ran exactly as without it
+        assert np.array_equal(m13.g_series, m12.g_series)
+        n_blocks, warmup = cfg13.block_counts
+        measured = n_blocks - warmup
+        hist_blocks = sum(1 for b in range(warmup, n_blocks) if b % 8 == 0)
+        assert sum(m13.cwnd_hist.values()) == 13 * hist_blocks
+        assert m13.queue_depth_mean[12] == 0
+        # its window adds its initial 2.0 on every measured block
+        cw_sum12 = m12.e_w_time_avg * 12 * measured
+        cw_sum13 = m13.e_w_time_avg * 13 * measured
+        assert cw_sum13 - cw_sum12 == pytest.approx(2.0 * measured, abs=1e-9)
+
     def test_window_mean_decreases_with_population(self):
         # more terminals -> higher load -> smaller windows at loss
         m_low = run(make_cfg(n=30, dur=150.0, seed=4))

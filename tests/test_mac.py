@@ -235,6 +235,10 @@ class TestOpenLoop:
         assert stats.blr == 0.0
         assert stats.g_mean == 0.0
 
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValueError, match="blocks"):
+            run_open_loop(make_cfg(seed=5), 0.5, 0)
+
     def test_blr_bounds_and_lambda(self):
         stats = run_open_loop(make_cfg(seed=5, n_rcst=40), 0.5, 300)
         assert 0.0 <= stats.blr <= 1.0
