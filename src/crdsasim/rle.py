@@ -16,7 +16,7 @@ __all__ = ["SegmentRef", "BurstSlice", "TxQueue", "pack_next_burst"]
 _EPS = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentRef:
     """One TCP segment incarnation as seen by the MAC queue."""
 
@@ -26,7 +26,7 @@ class SegmentRef:
     lost: bool = False          # a burst carrying part of it failed SIC
 
 
-@dataclass
+@dataclass(slots=True)
 class BurstSlice:
     """A (possibly partial) segment's share of one burst payload."""
 
@@ -35,7 +35,7 @@ class BurstSlice:
     is_final_fragment: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class TxQueue:
     """Per-RCST FIFO of segments awaiting MAC transmission."""
 

@@ -43,7 +43,7 @@ RTO_GRANULARITY_S = 0.01
 MIN_RTO_S = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SendAction:
     seq: int
     retransmit: bool
@@ -51,6 +51,13 @@ class SendAction:
 
 class TcpSender:
     """NewReno SBS congestion control with delayed-ACK-aware growth."""
+
+    __slots__ = (
+        "flow_id", "b", "cwnd", "ssthresh", "phase", "snd_una", "next_seq",
+        "dup_acks", "recover", "rwnd", "rto", "srtt", "rttvar", "backoff_exp",
+        "timer_deadline", "send_time", "started", "resend_next", "resend_high",
+        "timeouts", "rtt_sum", "rtt_n", "trace",
+    )
 
     def __init__(self, flow_id: int, b: int = 2, initial_cwnd: float = 2.0,
                  initial_ssthresh: float = 64.0, initial_rto_s: float = 2.0,
@@ -116,11 +123,17 @@ class TcpSender:
         application segments (the source is endless, data is always ready)."""
         acts = []
         limit = min(int(self.cwnd + 1e-9), self.rwnd)
-        while self.flight < limit:
+        # every send adds one to flight, except the resend that exhausts the
+        # resend window: flight then switches to the plain sequence range
+        room = limit - self.flight
+        while room > 0:
+            room -= 1
             if self.resend_next <= self.resend_high:
                 seq = self.resend_next
                 self.resend_next += 1
                 acts.append(self._retransmit(seq))
+                if self.resend_next > self.resend_high:
+                    room = limit - self.flight
                 continue
             seq = self.next_seq
             self.next_seq += 1
@@ -258,6 +271,9 @@ class TcpSender:
 
 class TcpReceiver:
     """Cumulative-ACK receiver with delayed ACKs and duplicate detection."""
+
+    __slots__ = ("b", "ack_delay_s", "rcv_next", "ooo", "pending_unacked",
+                 "ack_timer_deadline", "delivered", "spurious")
 
     def __init__(self, b: int = 2, ack_delay_s: float = 0.2):
         self.b = b

@@ -218,18 +218,18 @@ class TestFastRecovery:
         assert fr_episodes(h.sends) == [[7, 8, 9]]
         assert s.ssthresh == pytest.approx(10.0, abs=0.3)
 
-    def test_entry_needs_exactly_three_dups(self):
+    def test_entry_needs_exactly_three_dups(self, monkeypatch):
         s = steady_ca_sender(cwnd=20.0)
         captured = []
-        orig = s._on_dup_ack
+        orig = TcpSender._on_dup_ack
 
-        def spy(now):
-            acts = orig(now)
-            if s.phase == FAST_RECOVERY and len(captured) == 0:
+        def spy(self, now):
+            acts = orig(self, now)
+            if self is s and s.phase == FAST_RECOVERY and len(captured) == 0:
                 captured.append(s.dup_acks)
             return acts
 
-        s._on_dup_ack = spy
+        monkeypatch.setattr(TcpSender, "_on_dup_ack", spy)
         PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5}).run(3.0)
         assert captured == [3]
 
