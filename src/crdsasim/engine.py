@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -110,6 +111,24 @@ class RunMetrics:
         }
 
 
+# A flow's ``rto_due`` when no retransmission-timer entry is filed for it.
+NO_ENTRY = sys.maxsize
+
+
+def _due_block(deadline: float, dt: float) -> int:
+    """The first block b whose start passes the timer test of
+    ``TcpSender.timer_expired`` and ``TcpReceiver.poll_timer``,
+    ``b * dt >= deadline - 1e-12``: a ceil estimate, corrected with that
+    same float comparison."""
+    t = deadline - 1e-12
+    b = max(0, math.ceil(t / dt))
+    while b > 0 and (b - 1) * dt >= t:
+        b -= 1
+    while b * dt < t:
+        b += 1
+    return b
+
+
 @dataclass(slots=True)
 class _Flow:
     """One terminal: its TCP endpoints, its device queue, the sequences
@@ -122,6 +141,9 @@ class _Flow:
     start_block: int
     queued_untx: set = field(default_factory=set)    # seqs queued, never sent
     event_end_seq: int = 0     # first seq past the current loss event
+    # blocks of the live delayed-ACK and retransmission-timer entries
+    ack_due: int = NO_ENTRY
+    rto_due: int = NO_ENTRY
 
 
 @dataclass(slots=True)
@@ -150,13 +172,28 @@ def _queue_actions(flow: _Flow, acts, seg_bytes: float):
     Retransmissions share the queue with new data.  A resend of a sequence
     that still has an untransmitted copy queued is a no-op: that copy goes
     out in admission order.  A tail-dropped segment is not marked queued,
-    so it cannot suppress a later resend of its sequence.
+    so it cannot suppress a later resend of its sequence.  Returns whether
+    a segment went in.
     """
+    pushed = False
     for a in acts:
         if a.retransmit and a.seq in flow.queued_untx:
             continue
         if flow.txq.push(SegmentRef(a.seq, seg_bytes, a.retransmit)):
             flow.queued_untx.add(a.seq)
+            pushed = True
+    return pushed
+
+
+def _file(due_sets, fi: int, deadline, dt: float, first_block: int) -> int:
+    """File flow ``fi``'s timer in ``due_sets`` at the due block of its
+    deadline, no earlier than ``first_block``.  Returns the entry's block,
+    or ``NO_ENTRY`` when the timer is not armed."""
+    if deadline is None:
+        return NO_ENTRY
+    due = max(_due_block(deadline, dt), first_block)
+    due_sets[due].add(fi)
+    return due
 
 
 def _lose_burst(flow: _Flow, slices, tally: _Tally, measuring: bool):
@@ -209,8 +246,21 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
         txq = TxQueue(capacity_segments=cfg.buffer_segments)
         flows.append(_Flow(i, sender, receiver, txq, start_block))
 
+    senders = [flow.sender for flow in flows]
     acks_due = defaultdict(list)       # block -> [(flow_idx, ack_no)]
     arrivals_due = defaultdict(list)   # block -> [(flow_idx, slices)]
+    # block -> flows to visit: delayed-ACK timers to poll, and starts and
+    # retransmission timers.  An entry is filed no later than the first
+    # block its deadline passes the timer test, which still decides.  Each
+    # flow keeps one live entry per timer (``ack_due``, ``rto_due``): an arm
+    # files a new entry only if its deadline is due before the live one,
+    # so a re-arm that moves a deadline later keeps the entry, which
+    # re-files itself when it pops before the deadline.
+    polls_due = defaultdict(set)
+    timers_due = defaultdict(set)
+    for flow in flows:
+        timers_due[flow.start_block].add(flow.idx)
+    backlog = set()                    # flows with queued data
     tally = _Tally(np.zeros(n_blocks - warmup_block, dtype=np.float64),
                    [0.0] * cfg.n_rcst)
     base = None
@@ -222,70 +272,104 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             base = _counters(flows)
 
         # 1. decoded bursts reach the gateway; completed segments of live
-        # incarnations go to the receivers, which may ACK; then the ACKs
-        # due this block drive the senders
+        # incarnations go to the receivers, which ACK or start their
+        # delayed-ACK timer; then the ACKs due this block drive the senders
+        acks_out = acks_due[b + delay_ack]
         for fi, slices in arrivals_due.pop(b, ()):
             flow = flows[fi]
+            receiver = flow.receiver
             for sl in slices:
                 seg = sl.seg
                 if sl.is_final_fragment and not seg.lost:
-                    for ack in flow.receiver.on_segment(seg.seg_seq, now):
-                        acks_due[b + delay_ack].append((fi, ack))
+                    acks = receiver.on_segment(seg.seg_seq, now)
+                    for ack in acks:
+                        acks_out.append((fi, ack))
+                    if not acks and ((flow.ack_due - 1) * dt
+                                     >= receiver.ack_timer_deadline - 1e-12):
+                        flow.ack_due = _file(polls_due, fi,
+                                             receiver.ack_timer_deadline, dt, b)
 
         for fi, ack_no in acks_due.pop(b, ()):
             flow = flows[fi]
-            _queue_actions(flow, flow.sender.on_ack(ack_no, now), seg_bytes)
-
-        # 2. one pass over the flows.  Delayed-ACK timers may fire after this
-        # block's ACKs: nominal_rtt_s >= block_duration_s makes delay_ack
-        # >= 1.  Nothing after this pass changes a window, so the sample is
-        # the flow's end-of-block state.
-        hist_block = measuring and (b & 7) == 0
-        cw_sum = tally.cw_sum
-        active = []
-        for flow in flows:
             sender = flow.sender
-            for ack in flow.receiver.poll_timer(now):
-                acks_due[b + delay_ack].append((flow.idx, ack))
-            if sender.started:
-                if sender.timer_expired(now):
-                    _queue_actions(flow, sender.on_timeout(now), seg_bytes)
-            elif b >= flow.start_block:
-                _queue_actions(flow, sender.start(now), seg_bytes)
-            if measuring:
-                cw_sum += sender.cwnd
-                if hist_block:
-                    key = int(sender.cwnd)
-                    tally.cwnd_hist[key] = tally.cwnd_hist.get(key, 0) + 1
-            if flow.txq.has_data():
-                active.append(flow)
-        tally.cw_sum = cw_sum
+            acts = sender.on_ack(ack_no, now)
+            if acts and _queue_actions(flow, acts, seg_bytes):
+                backlog.add(fi)
+            deadline = sender.timer_deadline
+            if deadline is not None and (flow.rto_due - 1) * dt >= deadline - 1e-12:
+                flow.rto_due = _file(timers_due, fi, deadline, dt, b)
 
-        # 3. MAC: placement and SIC depend only on the number of bursts, so
+        # 2. the timers due this block, by flow index: delayed-ACK polls
+        # (after this block's ACKs, as nominal_rtt_s >= block_duration_s
+        # makes delay_ack >= 1), then starts and retransmission timeouts.
+        # An entry that an earlier one replaced is skipped.
+        for fi in sorted(polls_due.pop(b, ())):
+            flow = flows[fi]
+            if flow.ack_due != b:
+                continue
+            receiver = flow.receiver
+            for ack in receiver.poll_timer(now):
+                acks_out.append((fi, ack))
+            flow.ack_due = _file(polls_due, fi, receiver.ack_timer_deadline,
+                                 dt, b + 1)
+        for fi in sorted(timers_due.pop(b, ())):
+            flow = flows[fi]
+            sender = flow.sender
+            if not sender.started:
+                acts = sender.start(now)
+            elif flow.rto_due != b:
+                continue
+            else:
+                acts = sender.on_timeout(now) if sender.timer_expired(now) else ()
+            if acts and _queue_actions(flow, acts, seg_bytes):
+                backlog.add(fi)
+            flow.rto_due = _file(timers_due, fi, sender.timer_deadline, dt, b + 1)
+
+        # 3. the window sample, over every flow in index order: nothing
+        # later in a block changes a window
+        if measuring:
+            cw_sum = tally.cw_sum
+            for sender in senders:
+                cw_sum += sender.cwnd
+            tally.cw_sum = cw_sum
+            if (b & 7) == 0:
+                hist = tally.cwnd_hist
+                for sender in senders:
+                    key = int(sender.cwnd)
+                    hist[key] = hist.get(key, 0) + 1
+
+        # 4. MAC: placement and SIC depend only on the number of bursts, so
         # both come before packing.  Decoded payloads surface one block after
         # the propagation delay, as the block must be fully received first.
-        if not active:
+        if not backlog:
             continue
+        active = sorted(backlog)
         _, lost = sic_decode(
             sample_replica_slots(mac_rng, len(active), n_slots, cfg.replicas))
         if measuring:
             tally.bursts_offered += len(active)
             tally.bursts_lost += len(lost)
             tally.g_series[b - warmup_block] = len(active) / n_slots
-        for k, flow in enumerate(active):
-            slices = pack_next_burst(flow.txq, payload, max_distinct)
+        for k, fi in enumerate(active):
+            flow = flows[fi]
+            txq = flow.txq
+            slices = pack_next_burst(txq, payload, max_distinct)
+            depth = len(txq)
+            if not depth:
+                backlog.discard(fi)
             for sl in slices:
                 flow.queued_untx.discard(sl.seg.seg_seq)
-                if measuring and sl.is_final_fragment:
-                    tally.segments_sent += 1
-                    if sl.seg.retransmit:
-                        tally.retransmissions += 1
             if measuring:
-                tally.qd_sum[flow.idx] += len(flow.txq)
+                tally.qd_sum[fi] += depth
+                for sl in slices:
+                    if sl.is_final_fragment:
+                        tally.segments_sent += 1
+                        if sl.seg.retransmit:
+                            tally.retransmissions += 1
             if k in lost:
                 _lose_burst(flow, slices, tally, measuring)
             else:
-                arrivals_due[b + delay_data].append((flow.idx, slices))
+                arrivals_due[b + delay_data].append((fi, slices))
 
     return _metrics(cfg, flows, base, tally)
 

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG, parse_scenario_text
 from crdsasim.engine import (
-    _Flow, _lose_burst, _queue_actions, _Tally, metrics_to_json, run, sweep,
+    _due_block, _Flow, _lose_burst, _queue_actions, _Tally, metrics_to_json,
+    run, sweep,
 )
 from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
 from crdsasim.tcp import SendAction, TcpSender
@@ -92,6 +94,42 @@ class TestConservation:
         per_flow = np.array(m.throughput_kbps_per_flow)
         expect = per_flow * 1000.0 / 8.0 / cfg.mss_bytes * m.measured_s
         assert m.segments_delivered == pytest.approx(int(expect.sum()), abs=4)
+
+
+# the block durations of the catalog waveforms' default scenarios, and
+# some that are not exact in binary
+BLOCK_DURATIONS = sorted(
+    {ScenarioConfig(waveform=w, mss_bytes=173, n_rcst=1).block_duration_s
+     for w in WAVEFORM_CATALOG.values()} | {0.01, 0.0137, 0.02, 1 / 30})
+
+
+class TestDueBlock:
+    """``_due_block`` files a timer at the first block whose start passes
+    the timer test ``b * dt >= deadline - 1e-12``."""
+
+    @staticmethod
+    def brute_force(deadline, dt):
+        b = 0
+        while b * dt < deadline - 1e-12:
+            b += 1
+        return b
+
+    @given(dt=st.sampled_from(BLOCK_DURATIONS),
+           k=st.integers(min_value=0, max_value=3000),
+           offset=st.sampled_from([0.0, 1e-12, -1e-12, 2e-12, -2e-12, 1e-15,
+                                   -1e-15, 0.2, 1.0, 0.5]),
+           scale=st.sampled_from([0.0, 1.0, 0.5, 0.999999]))
+    def test_matches_first_block_passing_the_timer_test(self, dt, k, offset,
+                                                        scale):
+        # deadlines the engine sees: now + delay for now = k * dt, and
+        # exact multiples of dt nudged by the test's slack
+        deadline = max(0.0, k * dt * scale + offset)
+        assert _due_block(deadline, dt) == self.brute_force(deadline, dt)
+
+    @given(dt=st.sampled_from(BLOCK_DURATIONS),
+           deadline=st.floats(min_value=0.0, max_value=40.0))
+    def test_matches_on_arbitrary_deadlines(self, dt, deadline):
+        assert _due_block(deadline, dt) == self.brute_force(deadline, dt)
 
 
 class TestQueueActions:
