@@ -1,14 +1,25 @@
 """Discrete-event simulation at RA-block granularity.
 
-Each block, in order: the decoded bursts due reach the gateway and the
-ACKs due drive the senders; one pass over the flows, in index order, polls
-each delayed-ACK timer, starts the flow or fires its expired retransmission
-timer, samples its window and notes whether it is backlogged; the shared
-MAC stream places one burst per backlogged terminal and SIC decodes the
-block; one pass over the bursts, in flow order, packs each payload, samples
-the queue depth and loses the burst or sends it on.  Decoded payloads travel to the gateway over half
-the nominal RTT, and ACKs ride a lossless forward link back over the other
-half.  One-way delays are rounded up to the next block boundary.
+Each block, in order:
+
+1. flush: once the oldest held block's payloads are due, every held
+   block is SIC-decoded in one batch, and its bursts are lost or sent on
+   to the gateway, in block order and burst order;
+2. arrivals: the decoded bursts due reach the gateway, and completed
+   segments go to the receivers, which ACK or start a delayed-ACK timer;
+3. ACKs: the ACKs due drive the senders;
+4. due timers: the flows whose delayed-ACK timer, start or
+   retransmission timer is due this block are visited in index order;
+5. sample: every flow's window is sampled;
+6. MAC: the shared MAC stream places one burst per backlogged terminal,
+   one pass over the bursts, in flow order, packs each payload and
+   samples the queue depth, and the block is held for SIC.
+
+Apart from the window sample, work per block scales with these events,
+not with the number of terminals.  Decoded payloads travel to the gateway
+over half the nominal RTT, and ACKs ride a lossless forward link back
+over the other half.  One-way delays are rounded up to the next block
+boundary.
 
 Losses are never signalled to senders; they surface as duplicate ACKs or
 timer expirations, exactly as on the wire.
@@ -32,7 +43,9 @@ from crdsasim.config import (
     make_rng,
     rcst_stream,
 )
-from crdsasim.mac import sample_replica_slots, sic_decode
+from crdsasim import mac
+# sic_decode, the one-block decoder, stays reachable as engine.sic_decode
+from crdsasim.mac import sample_replica_slots, sic_decode  # noqa: F401
 from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
 from crdsasim.tcp import TcpReceiver, TcpSender
 
@@ -196,11 +209,11 @@ def _file(due_sets, fi: int, deadline, dt: float, first_block: int) -> int:
     return due
 
 
-def _lose_burst(flow: _Flow, slices, tally: _Tally, measuring: bool):
+def _lose_burst(flow: _Flow, slices, w: float, tally: _Tally, measuring: bool):
     """Mark lost every segment incarnation a lost burst carried; one that
     is already lost is not counted again.  A loss at or past the end of
     the flow's current loss event opens a new event that spans one window
-    from it."""
+    ``w``, the flow's cwnd when the burst was packed."""
     for sl in slices:
         seg = sl.seg
         if seg.lost:
@@ -209,11 +222,36 @@ def _lose_burst(flow: _Flow, slices, tally: _Tally, measuring: bool):
         if measuring:
             tally.segment_losses += 1
         if seg.seg_seq >= flow.event_end_seq:
-            w = flow.sender.cwnd
             flow.event_end_seq = seg.seg_seq + max(1, int(w))
             if measuring:
                 tally.loss_events += 1
                 tally.w_at_loss_sum += w
+
+
+def _decode_held(held, flows, arrivals_due, delay_data: int, n_slots: int,
+                 tally: _Tally):
+    """SIC-decode the held blocks in one batch, then, in block order and
+    burst order, send each decoded burst on to the gateway and lose the
+    rest.  ``held`` lists per block its index, whether it is measured, its
+    replica slots and its bursts as (flow index, slices, cwnd at packing);
+    it is emptied."""
+    counts = [len(bursts) for _, _, _, bursts in held]
+    decoded = mac._decode_batch(
+        np.repeat(np.arange(len(held)), counts),
+        np.concatenate([slots for _, _, slots, _ in held]),
+        len(held), n_slots).tolist()
+    k = 0
+    for b, measuring, _, bursts in held:
+        arrivals = arrivals_due[b + delay_data]
+        for fi, slices, w in bursts:
+            if decoded[k]:
+                arrivals.append((fi, slices))
+            else:
+                _lose_burst(flows[fi], slices, w, tally, measuring)
+                if measuring:
+                    tally.bursts_lost += 1
+            k += 1
+    held.clear()
 
 
 def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
@@ -261,6 +299,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
     for flow in flows:
         timers_due[flow.start_block].add(flow.idx)
     backlog = set()                    # flows with queued data
+    held = []                          # packed blocks awaiting SIC
     tally = _Tally(np.zeros(n_blocks - warmup_block, dtype=np.float64),
                    [0.0] * cfg.n_rcst)
     base = None
@@ -270,10 +309,13 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
         measuring = b >= warmup_block
         if b == warmup_block:
             base = _counters(flows)
+        # 1. decode the held blocks before the oldest one's bursts are due
+        if held and held[0][0] + delay_data <= b:
+            _decode_held(held, flows, arrivals_due, delay_data, n_slots, tally)
 
-        # 1. decoded bursts reach the gateway; completed segments of live
+        # 2. decoded bursts reach the gateway; completed segments of live
         # incarnations go to the receivers, which ACK or start their
-        # delayed-ACK timer; then the ACKs due this block drive the senders
+        # delayed-ACK timer.  3. The ACKs due this block drive the senders.
         acks_out = acks_due[b + delay_ack]
         for fi, slices in arrivals_due.pop(b, ()):
             flow = flows[fi]
@@ -299,7 +341,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             if deadline is not None and (flow.rto_due - 1) * dt >= deadline - 1e-12:
                 flow.rto_due = _file(timers_due, fi, deadline, dt, b)
 
-        # 2. the timers due this block, by flow index: delayed-ACK polls
+        # 4. the timers due this block, by flow index: delayed-ACK polls
         # (after this block's ACKs, as nominal_rtt_s >= block_duration_s
         # makes delay_ack >= 1), then starts and retransmission timeouts.
         # An entry that an earlier one replaced is skipped.
@@ -325,7 +367,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                 backlog.add(fi)
             flow.rto_due = _file(timers_due, fi, sender.timer_deadline, dt, b + 1)
 
-        # 3. the window sample, over every flow in index order: nothing
+        # 5. the window sample, over every flow in index order: nothing
         # later in a block changes a window
         if measuring:
             cw_sum = tally.cw_sum
@@ -338,19 +380,20 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                     key = int(sender.cwnd)
                     hist[key] = hist.get(key, 0) + 1
 
-        # 4. MAC: placement and SIC depend only on the number of bursts, so
-        # both come before packing.  Decoded payloads surface one block after
-        # the propagation delay, as the block must be fully received first.
+        # 6. MAC: one placement per block, before packing, as it depends
+        # only on the number of bursts.  The block is held for SIC, which
+        # runs on a window of blocks once the oldest one's decoded payloads
+        # are due: one block after the propagation delay, as a block must
+        # be fully received first.
         if not backlog:
             continue
         active = sorted(backlog)
-        _, lost = sic_decode(
-            sample_replica_slots(mac_rng, len(active), n_slots, cfg.replicas))
+        slots = sample_replica_slots(mac_rng, len(active), n_slots, cfg.replicas)
         if measuring:
             tally.bursts_offered += len(active)
-            tally.bursts_lost += len(lost)
             tally.g_series[b - warmup_block] = len(active) / n_slots
-        for k, fi in enumerate(active):
+        bursts = []
+        for fi in active:
             flow = flows[fi]
             txq = flow.txq
             slices = pack_next_burst(txq, payload, max_distinct)
@@ -366,11 +409,11 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                         tally.segments_sent += 1
                         if sl.seg.retransmit:
                             tally.retransmissions += 1
-            if k in lost:
-                _lose_burst(flow, slices, tally, measuring)
-            else:
-                arrivals_due[b + delay_data].append((fi, slices))
+            bursts.append((fi, slices, flow.sender.cwnd))
+        held.append((b, measuring, slots, bursts))
 
+    if held:
+        _decode_held(held, flows, arrivals_due, delay_data, n_slots, tally)
     return _metrics(cfg, flows, base, tally)
 
 

@@ -8,9 +8,10 @@ have changed, and the redraws are the calls a recheck of every row would
 make, so the MAC stream's draws do not depend on how much is rechecked.
 Decoding peels singleton slots and cancels the decoded burst's replicas
 everywhere, assuming power-balanced terminals (perfect cancellation, no
-capture).  One vectorised decoder serves both loops: the open-loop driver
-decodes thousands of blocks per call, the closed loop one block per call
-through :func:`sic_decode`.
+capture).  One vectorised decoder, :func:`_decode_batch`, serves both
+loops: the open-loop driver decodes thousands of blocks per call, the
+closed loop a window of the blocks sent in one one-way delay;
+:func:`sic_decode` is its one-block case.
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ class TestIncarnationFate:
         first = bursts[0][0].seg
         assert bursts[1][0].seg is first
         for slices in bursts:
-            _lose_burst(flow, slices, tally, measuring=True)
+            _lose_burst(flow, slices, flow.sender.cwnd, tally, measuring=True)
         assert first.lost
         assert (tally.segment_losses, tally.loss_events) == (1, 1)
 
@@ -178,7 +178,8 @@ class TestIncarnationFate:
         [resend] = flow.txq.pending
         assert resend is not first
         assert resend.retransmit and not resend.lost
-        _lose_burst(flow, pack_next_burst(flow.txq, 188.0), tally, measuring=True)
+        _lose_burst(flow, pack_next_burst(flow.txq, 188.0), flow.sender.cwnd,
+                    tally, measuring=True)
         assert resend.lost
         assert (tally.segment_losses, tally.loss_events) == (2, 1)
 
