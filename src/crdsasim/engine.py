@@ -124,7 +124,7 @@ class RunMetrics:
         }
 
 
-# A flow's ``rto_due`` when no retransmission-timer entry is filed for it.
+# A flow's ``ack_due`` or ``rto_due`` when no entry is filed for that timer.
 NO_ENTRY = sys.maxsize
 
 
