@@ -33,6 +33,10 @@ GOLDEN = {
                    "a62ea1e040d21dc4460d6eb3106495bd1e7c9f1fe182ebc6c09839ab94021255"),
     "timer-edge": (14, 173, 80, TIMER_EDGE,
                    "efbb4723e7d020954870a428f0511e2a9d31e7cbabfe87baf12ee1d71eadc26c"),
+    # a short first RTO: 52 timeouts after the warm-up, whose resends
+    # queue new copies of sequences still partly sent at the cursor
+    "sub-unit-rto": (3, 173, 100, {"initial_rto_s": 0.05},
+                     "a349ddab524f689f9d8b7fd5391e5347b863baf40942da7609c9f9023a88090b"),
 }
 
 
