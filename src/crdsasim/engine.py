@@ -209,13 +209,12 @@ def _file(due_sets, fi: int, deadline, dt: float, first_block: int) -> int:
     return due
 
 
-def _lose_burst(flow: _Flow, slices, w: float, tally: _Tally, measuring: bool):
+def _lose_burst(flow: _Flow, segs, w: float, tally: _Tally, measuring: bool):
     """Mark lost every segment incarnation a lost burst carried; one that
     is already lost is not counted again.  A loss at or past the end of
     the flow's current loss event opens a new event that spans one window
     ``w``, the flow's cwnd when the burst was packed."""
-    for sl in slices:
-        seg = sl.seg
+    for seg in segs:
         if seg.lost:
             continue
         seg.lost = True
@@ -233,8 +232,8 @@ def _decode_held(held, flows, arrivals_due, delay_data: int, n_slots: int,
     """SIC-decode the held blocks in one batch, then, in block order and
     burst order, send each decoded burst on to the gateway and lose the
     rest.  ``held`` lists per block its index, whether it is measured, its
-    replica slots and its bursts as (flow index, slices, cwnd at packing);
-    it is emptied."""
+    replica slots and its bursts as (flow index, segments touched, how many
+    of them it finished, cwnd at packing); it is emptied."""
     counts = [len(bursts) for _, _, _, bursts in held]
     decoded = mac._decode_batch(
         np.repeat(np.arange(len(held)), counts),
@@ -243,11 +242,11 @@ def _decode_held(held, flows, arrivals_due, delay_data: int, n_slots: int,
     k = 0
     for b, measuring, _, bursts in held:
         arrivals = arrivals_due[b + delay_data]
-        for fi, slices, w in bursts:
+        for fi, segs, done, w in bursts:
             if decoded[k]:
-                arrivals.append((fi, slices))
+                arrivals.append((fi, segs, done))
             else:
-                _lose_burst(flows[fi], slices, w, tally, measuring)
+                _lose_burst(flows[fi], segs, w, tally, measuring)
                 if measuring:
                     tally.bursts_lost += 1
             k += 1
@@ -286,7 +285,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
 
     senders = [flow.sender for flow in flows]
     acks_due = defaultdict(list)       # block -> [(flow_idx, ack_no)]
-    arrivals_due = defaultdict(list)   # block -> [(flow_idx, slices)]
+    arrivals_due = defaultdict(list)   # block -> [(flow_idx, segs, done)]
     # block -> flows to visit: delayed-ACK timers to poll, and starts and
     # retransmission timers.  An entry is filed no later than the first
     # block its deadline passes the timer test, which still decides.  Each
@@ -313,23 +312,23 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
         if held and held[0][0] + delay_data <= b:
             _decode_held(held, flows, arrivals_due, delay_data, n_slots, tally)
 
-        # 2. decoded bursts reach the gateway; completed segments of live
-        # incarnations go to the receivers, which ACK or start their
-        # delayed-ACK timer.  3. The ACKs due this block drive the senders.
+        # 2. decoded bursts reach the gateway; the live incarnations a burst
+        # finished go to the receivers, which ACK or start their delayed-ACK
+        # timer.  3. The ACKs due this block drive the senders.
         acks_out = acks_due[b + delay_ack]
-        for fi, slices in arrivals_due.pop(b, ()):
+        for fi, segs, done in arrivals_due.pop(b, ()):
             flow = flows[fi]
             receiver = flow.receiver
-            for sl in slices:
-                seg = sl.seg
-                if sl.is_final_fragment and not seg.lost:
-                    acks = receiver.on_segment(seg.seg_seq, now)
-                    for ack in acks:
-                        acks_out.append((fi, ack))
-                    if not acks and ((flow.ack_due - 1) * dt
-                                     >= receiver.ack_timer_deadline - 1e-12):
-                        flow.ack_due = _file(polls_due, fi,
-                                             receiver.ack_timer_deadline, dt, b)
+            for seg in segs[:done]:
+                if seg.lost:
+                    continue
+                acks = receiver.on_segment(seg.seg_seq, now)
+                for ack in acks:
+                    acks_out.append((fi, ack))
+                if not acks and ((flow.ack_due - 1) * dt
+                                 >= receiver.ack_timer_deadline - 1e-12):
+                    flow.ack_due = _file(polls_due, fi,
+                                         receiver.ack_timer_deadline, dt, b)
 
         for fi, ack_no in acks_due.pop(b, ()):
             flow = flows[fi]
@@ -396,20 +395,22 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
         for fi in active:
             flow = flows[fi]
             txq = flow.txq
-            slices = pack_next_burst(txq, payload, max_distinct)
+            segs = pack_next_burst(txq, payload, max_distinct)
+            # every touched segment is finished but an unfinished cursor
+            cursor = txq.cursor_seg
+            done = len(segs) - (cursor is segs[-1])
             depth = len(txq)
             if not depth:
                 backlog.discard(fi)
-            for sl in slices:
-                flow.queued_untx.discard(sl.seg.seg_seq)
+            for seg in segs:
+                flow.queued_untx.discard(seg.seg_seq)
             if measuring:
                 tally.qd_sum[fi] += depth
-                for sl in slices:
-                    if sl.is_final_fragment:
-                        tally.segments_sent += 1
-                        if sl.seg.retransmit:
-                            tally.retransmissions += 1
-            bursts.append((fi, slices, flow.sender.cwnd))
+                tally.segments_sent += done
+                for seg in segs:
+                    if seg.retransmit and seg is not cursor:
+                        tally.retransmissions += 1
+            bursts.append((fi, segs, done, flow.sender.cwnd))
         held.append((b, measuring, slots, bursts))
 
     if held:

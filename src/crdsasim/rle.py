@@ -1,9 +1,12 @@
 """Return Link Encapsulation adaptation.
 
 Packs queued TCP segments into fixed-size burst payloads (whole segments,
-fragments, or several small segments per burst).  Byte amounts are kept as
-floats because the effective burst payload is calibrated in fractional
-segment units (see config.DEFAULT_RLE_PAYLOAD).
+fragments, or several small segments per burst).  A queued segment
+incarnation is one ``SegmentRef`` from the queue to the gateway: a burst
+is the list of segments it touched, and only the queue's cursor records
+how much of a partly sent segment is out.  Byte amounts are kept as floats
+because the effective burst payload is calibrated in fractional segment
+units (see config.DEFAULT_RLE_PAYLOAD).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["SegmentRef", "BurstSlice", "TxQueue", "pack_next_burst"]
+__all__ = ["SegmentRef", "TxQueue", "pack_next_burst"]
 
 _EPS = 1e-9
 
@@ -27,20 +30,11 @@ class SegmentRef:
 
 
 @dataclass(slots=True)
-class BurstSlice:
-    """A (possibly partial) segment's share of one burst payload."""
-
-    seg: SegmentRef
-    bytes_in_burst: float
-    is_final_fragment: bool
-
-
-@dataclass(slots=True)
 class TxQueue:
     """Per-RCST FIFO of segments awaiting MAC transmission."""
 
     capacity_segments: int = 10000
-    pending: deque = field(default_factory=deque)
+    pending: deque = field(default_factory=deque)   # never packed, in order
     cursor_seg: SegmentRef | None = None   # in-progress fragmented segment
     cursor_sent: float = 0.0
     overflow_drops: int = 0
@@ -59,46 +53,45 @@ class TxQueue:
         self.pending.append(seg)
         return True
 
-
 def pack_next_burst(q: TxQueue, payload_bytes: float,
-                    max_distinct: int | None = None) -> list[BurstSlice] | None:
+                    max_distinct: int | None = None) -> list[SegmentRef] | None:
     """Greedily fill one burst payload from the queue.
 
     Resumes any in-progress fragment first, then takes whole or partial
     segments in FIFO order until the payload is exhausted, the queue
     empties, or ``max_distinct`` distinct segments have been touched.
-    Returns None when there is nothing to send.
+    Returns the segments touched, in order, or None when there is nothing
+    to send.  All of them are finished except perhaps the last, which is
+    then ``q.cursor_seg``.
     """
-    if not q.has_data():
-        return None
-    budget = payload_bytes
-    slices: list[BurstSlice] = []
-
-    if q.cursor_seg is not None:
-        seg = q.cursor_seg
+    pending = q.pending
+    seg = q.cursor_seg
+    if seg is None:
+        if not pending:
+            return None
+        touched = []
+        budget = payload_bytes
+    else:
+        touched = [seg]
         remaining = seg.bytes_total - q.cursor_sent
-        take = min(remaining, budget)
-        final = take >= remaining - _EPS
-        slices.append(BurstSlice(seg, take, final))
-        budget -= take
-        if final:
-            q.cursor_seg = None
-            q.cursor_sent = 0.0
-        else:
+        take = min(remaining, payload_bytes)
+        if take < remaining - _EPS:
             q.cursor_sent += take
+            return touched
+        budget = payload_bytes - take
+        q.cursor_seg = None
+        q.cursor_sent = 0.0
 
-    while q.pending and budget > _EPS:
-        if max_distinct is not None and len(slices) >= max_distinct:
+    while pending and budget > _EPS:
+        if max_distinct is not None and len(touched) >= max_distinct:
             break
-        seg = q.pending[0]
+        seg = pending.popleft()
+        touched.append(seg)
         take = min(seg.bytes_total, budget)
-        final = take >= seg.bytes_total - _EPS
-        slices.append(BurstSlice(seg, take, final))
         budget -= take
-        q.pending.popleft()
-        if not final:
+        if take < seg.bytes_total - _EPS:
             q.cursor_seg = seg
             q.cursor_sent = take
             break
 
-    return slices
+    return touched

@@ -164,10 +164,11 @@ class TestIncarnationFate:
         tally = _Tally(np.zeros(1), [0.0])
         _queue_actions(flow, [SendAction(1, retransmit=False)], 188.0)
         bursts = [pack_next_burst(flow.txq, 100.0) for _ in range(2)]
-        first = bursts[0][0].seg
-        assert bursts[1][0].seg is first
-        for slices in bursts:
-            _lose_burst(flow, slices, flow.sender.cwnd, tally, measuring=True)
+        first = bursts[0][0]
+        assert bursts[1][0] is first
+        assert flow.txq.cursor_seg is None
+        for segs in bursts:
+            _lose_burst(flow, segs, flow.sender.cwnd, tally, measuring=True)
         assert first.lost
         assert (tally.segment_losses, tally.loss_events) == (1, 1)
 

@@ -13,16 +13,27 @@ def fill(q, n, total=188.0):
         q.push(seg(i, total))
 
 
+def pack(q, payload, max_distinct=None):
+    """``pack_next_burst`` and the bytes the burst carried, read off the
+    queue's cursor before and after the call."""
+    before, sent_before = q.cursor_seg, q.cursor_sent
+    segs = pack_next_burst(q, payload, max_distinct)
+    carried = 0.0
+    for s in segs or ():
+        out = q.cursor_sent if s is q.cursor_seg else s.bytes_total
+        carried += out - (sent_before if s is before else 0.0)
+    return segs, carried
+
+
 class TestPacking:
     def test_exact_fit_one_segment_per_burst(self):
         q = TxQueue()
         fill(q, 3, total=188.0)
         for want in (1, 2, 3):
-            slices = pack_next_burst(q, 188.0)
-            assert len(slices) == 1
-            assert slices[0].seg.seg_seq == want
-            assert slices[0].is_final_fragment
-            assert slices[0].bytes_in_burst == pytest.approx(188.0)
+            segs, carried = pack(q, 188.0)
+            assert [s.seg_seq for s in segs] == [want]
+            assert q.cursor_seg is None         # finished in this burst
+            assert carried == pytest.approx(188.0)
         assert pack_next_burst(q, 188.0) is None
 
     def test_fragmentation_below_one(self):
@@ -30,32 +41,37 @@ class TestPacking:
         # every sixth burst straddling two segments
         q = TxQueue()
         fill(q, 3, total=188.0)
-        bursts = []
+        segs = pack_next_burst(q, 32.9)
+        assert q.cursor_seg is segs[0]
+        assert q.cursor_sent == pytest.approx(32.9)
+        bursts = [segs]
         while q.has_data():
             bursts.append(pack_next_burst(q, 32.9))
-        straddling = [b for b in bursts if len({s.seg.seg_seq for s in b}) == 2]
+        straddling = [b for b in bursts if len({s.seg_seq for s in b}) == 2]
         assert len(bursts) == 18  # 3 segments x ceil-ish 188/32.9
         assert 2 <= len(straddling) <= 3
-        total = sum(s.bytes_in_burst for b in bursts for s in b)
-        assert total == pytest.approx(3 * 188.0)
+        # the sixth burst finishes seq 1 (5 x 32.9 = 164.5 sent) and
+        # starts seq 2 with the rest of its payload
+        assert [s.seg_seq for s in bursts[5]] == [1, 2]
+        assert q.cursor_seg is None and q.cursor_sent == 0.0
 
     def test_packing_above_one_full_queue(self):
         # 38-byte units into a 216.6-byte payload: up to six distinct
         # segments per burst (five whole plus a fraction)
         q = TxQueue()
         fill(q, 100, total=38.0)
-        slices = pack_next_burst(q, 216.6, max_distinct=6)
-        assert len({s.seg.seg_seq for s in slices}) == 6
-        whole = [s for s in slices if s.is_final_fragment]
-        assert len(whole) == 5
-        assert sum(s.bytes_in_burst for s in slices) == pytest.approx(216.6)
+        segs = pack_next_burst(q, 216.6, max_distinct=6)
+        assert len({s.seg_seq for s in segs}) == 6
+        assert q.cursor_seg is segs[-1]          # five finished, one started
+        assert q.cursor_sent == pytest.approx(216.6 - 5 * 38.0)
 
     def test_packing_above_one_short_queue_subutilizes(self):
         q = TxQueue()
         fill(q, 2, total=38.0)
-        slices = pack_next_burst(q, 216.6, max_distinct=6)
-        assert len(slices) == 2
-        assert all(s.is_final_fragment for s in slices)
+        segs, carried = pack(q, 216.6, max_distinct=6)
+        assert len(segs) == 2
+        assert q.cursor_seg is None             # both finished
+        assert carried == pytest.approx(2 * 38.0)
         assert pack_next_burst(q, 216.6, max_distinct=6) is None
 
     def test_distinct_cap_respected_when_resuming(self):
@@ -63,8 +79,8 @@ class TestPacking:
         fill(q, 50, total=38.0)
         seen = []
         while q.has_data():
-            slices = pack_next_burst(q, 216.6, max_distinct=6)
-            seen.append(len({s.seg.seg_seq for s in slices}))
+            segs = pack_next_burst(q, 216.6, max_distinct=6)
+            seen.append(len({s.seg_seq for s in segs}))
         assert max(seen) <= 6
         assert len(seen) >= 9
 
@@ -77,8 +93,8 @@ class TestPacking:
         order = []
         while q.has_data():
             for s in pack_next_burst(q, 216.6, max_distinct=6):
-                if s.is_final_fragment:
-                    order.append(s.seg.seg_seq)
+                if s is not q.cursor_seg:
+                    order.append(s.seg_seq)
         assert order == sorted(order)
 
     @given(
@@ -92,10 +108,48 @@ class TestPacking:
         fill(q, n, total=unit)
         emitted = 0.0
         for _ in range(10000):
-            slices = pack_next_burst(q, payload)
-            if slices is None:
+            segs, carried = pack(q, payload)
+            if segs is None:
                 break
-            emitted += sum(s.bytes_in_burst for s in slices)
+            emitted += carried
+        assert emitted == pytest.approx(n * unit, rel=1e-9)
+
+    @given(
+        payload=st.floats(min_value=10.0, max_value=400.0),
+        unit=st.floats(min_value=5.0, max_value=300.0),
+        n=st.integers(1, 40),
+        max_distinct=st.sampled_from([None, 1, 2, 6]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_burst_shape(self, payload, unit, n, max_distinct):
+        """Only the last segment a burst touches may be unfinished, and
+        then it is the queue's cursor, which the next burst resumes; at most
+        ``max_distinct`` segments per burst; segments finish in FIFO order;
+        the cursor conserves bytes."""
+        q = TxQueue()
+        fill(q, n, total=unit)
+        admitted = list(q.pending)
+        finished = []
+        emitted = 0.0
+        while True:
+            before = q.cursor_seg
+            segs, carried = pack(q, payload, max_distinct)
+            if segs is None:
+                break
+            assert before is None or segs[0] is before
+            assert len(set(map(id, segs))) == len(segs)
+            if max_distinct is not None:
+                assert len(segs) <= max_distinct
+            assert q.cursor_seg is None or q.cursor_seg is segs[-1]
+            if q.cursor_seg is not None:
+                assert 0.0 < q.cursor_sent < q.cursor_seg.bytes_total
+            finished += [s for s in segs if s is not q.cursor_seg]
+            assert carried <= payload + 1e-9
+            # a burst is full unless the queue ran dry or the cap bound
+            if q.has_data() and (max_distinct is None or len(segs) < max_distinct):
+                assert carried == pytest.approx(payload, rel=1e-9)
+            emitted += carried
+        assert [id(s) for s in finished] == [id(s) for s in admitted]
         assert emitted == pytest.approx(n * unit, rel=1e-9)
 
 
@@ -109,9 +163,9 @@ class TestOverflow:
         assert [s.seg_seq for s in q.pending] == [0, 1, 2]
 
 
-def carried(slices):
+def carried(segs):
     """Segments a burst carries, all of which are lost if it collides."""
-    return {sl.seg.seg_seq for sl in slices}
+    return {s.seg_seq for s in segs}
 
 
 class TestBurstLoss:
@@ -123,8 +177,8 @@ class TestBurstLoss:
     def test_full_burst_over_one_loses_f_segments(self):
         q = TxQueue()
         fill(q, 10, total=38.0)
-        slices = pack_next_burst(q, 216.6, max_distinct=6)
-        assert carried(slices) == {1, 2, 3, 4, 5, 6}
+        segs = pack_next_burst(q, 216.6, max_distinct=6)
+        assert carried(segs) == {1, 2, 3, 4, 5, 6}
 
     def test_straddling_burst_loses_two(self):
         q = TxQueue()
@@ -132,7 +186,7 @@ class TestBurstLoss:
         bursts = []
         while q.has_data():
             bursts.append(pack_next_burst(q, 32.9))
-        straddler = next(b for b in bursts if len({s.seg.seg_seq for s in b}) == 2)
+        straddler = next(b for b in bursts if len({s.seg_seq for s in b}) == 2)
         assert carried(straddler) == {1, 2}
 
     def test_straddle_frequency_about_one_in_six(self):
@@ -142,6 +196,6 @@ class TestBurstLoss:
         while q.has_data():
             bursts.append(pack_next_burst(q, 32.9))
         frac = sum(
-            1 for b in bursts if len({s.seg.seg_seq for s in b}) == 2
+            1 for b in bursts if len({s.seg_seq for s in b}) == 2
         ) / len(bursts)
         assert frac == pytest.approx(1 / 6, abs=0.05)
