@@ -7,7 +7,8 @@ Each block, in order:
    to the gateway, in block order and burst order;
 2. arrivals: the decoded bursts due reach the gateway, and completed
    segments go to the receivers, which ACK or start a delayed-ACK timer;
-3. ACKs: the ACKs due drive the senders;
+3. ACKs: the ACKs due drive the senders, whose seqs the flows' queues
+   admit;
 4. due timers: the flows whose delayed-ACK timer, start or
    retransmission timer is due this block are visited in index order;
 5. sample: every flow's window is sampled;
@@ -178,9 +179,9 @@ class _Tally:
     cwnd_hist: dict = field(default_factory=dict)   # sampled every 8th block
 
 
-def _queue_actions(flow: _Flow, acts, seg_bytes: float):
-    """Put a sender's actions on the flow's FIFO device queue, one new
-    segment incarnation per action.
+def _queue_actions(flow: _Flow, seqs, first_new: int, seg_bytes: float):
+    """Put a sender's seqs on the flow's FIFO device queue, one new segment
+    incarnation per seq; the seqs below ``first_new`` are resends.
 
     Retransmissions share the queue with new data.  A resend of a sequence
     that still has an untransmitted copy queued is a no-op: that copy goes
@@ -189,11 +190,12 @@ def _queue_actions(flow: _Flow, acts, seg_bytes: float):
     a segment went in.
     """
     pushed = False
-    for a in acts:
-        if a.retransmit and a.seq in flow.queued_untx:
+    for seq in seqs:
+        retransmit = seq < first_new
+        if retransmit and seq in flow.queued_untx:
             continue
-        if flow.txq.push(SegmentRef(a.seq, seg_bytes, a.retransmit)):
-            flow.queued_untx.add(a.seq)
+        if flow.txq.push(SegmentRef(seq, seg_bytes, retransmit)):
+            flow.queued_untx.add(seq)
             pushed = True
     return pushed
 
@@ -314,7 +316,8 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
 
         # 2. decoded bursts reach the gateway; the live incarnations a burst
         # finished go to the receivers, which ACK or start their delayed-ACK
-        # timer.  3. The ACKs due this block drive the senders.
+        # timer.  3. The ACKs due this block drive the senders; a seq below
+        # the sender's next_seq before the call is a resend.
         acks_out = acks_due[b + delay_ack]
         for fi, segs, done in arrivals_due.pop(b, ()):
             flow = flows[fi]
@@ -322,19 +325,19 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             for seg in segs[:done]:
                 if seg.lost:
                     continue
-                acks = receiver.on_segment(seg.seg_seq, now)
-                for ack in acks:
+                ack = receiver.on_segment(seg.seg_seq, now)
+                if ack is not None:
                     acks_out.append((fi, ack))
-                if not acks and ((flow.ack_due - 1) * dt
-                                 >= receiver.ack_timer_deadline - 1e-12):
+                elif (flow.ack_due - 1) * dt >= receiver.ack_timer_deadline - 1e-12:
                     flow.ack_due = _file(polls_due, fi,
                                          receiver.ack_timer_deadline, dt, b)
 
         for fi, ack_no in acks_due.pop(b, ()):
             flow = flows[fi]
             sender = flow.sender
-            acts = sender.on_ack(ack_no, now)
-            if acts and _queue_actions(flow, acts, seg_bytes):
+            first_new = sender.next_seq
+            seqs = sender.on_ack(ack_no, now)
+            if seqs and _queue_actions(flow, seqs, first_new, seg_bytes):
                 backlog.add(fi)
             deadline = sender.timer_deadline
             if deadline is not None and (flow.rto_due - 1) * dt >= deadline - 1e-12:
@@ -349,20 +352,22 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             if flow.ack_due != b:
                 continue
             receiver = flow.receiver
-            for ack in receiver.poll_timer(now):
+            ack = receiver.poll_timer(now)
+            if ack is not None:
                 acks_out.append((fi, ack))
             flow.ack_due = _file(polls_due, fi, receiver.ack_timer_deadline,
                                  dt, b + 1)
         for fi in sorted(timers_due.pop(b, ())):
             flow = flows[fi]
             sender = flow.sender
+            first_new = sender.next_seq
             if not sender.started:
-                acts = sender.start(now)
+                seqs = sender.start(now)
             elif flow.rto_due != b:
                 continue
             else:
-                acts = sender.on_timeout(now) if sender.timer_expired(now) else ()
-            if acts and _queue_actions(flow, acts, seg_bytes):
+                seqs = sender.on_timeout(now) if sender.timer_expired(now) else ()
+            if seqs and _queue_actions(flow, seqs, first_new, seg_bytes):
                 backlog.add(fi)
             flow.rto_due = _file(timers_due, fi, sender.timer_deadline, dt, b + 1)
 

@@ -1,8 +1,11 @@
 """Per-flow TCP NewReno (Slow-but-Steady) sender and receiver.
 
 The sender is a pure state machine: event handlers take the current time
-and return send actions; the caller owns queues, links and timers.  Window
-arithmetic uses a real-valued cwnd accumulator with floor gating.
+and return the sequence numbers to send, retransmissions first, then the
+new range.  A returned seq is a retransmission iff it is below the
+sender's ``next_seq`` as read just before the call.  The caller owns
+queues, links and timers.  Window arithmetic uses a real-valued cwnd
+accumulator with floor gating.
 
 Delayed ACKs: the receiver acknowledges every b-th in-order segment (or on
 a 200 ms timer), and acknowledges immediately whenever data arrives out of
@@ -13,15 +16,12 @@ avoidance adds 1/b segment per round regardless of ACK batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "SLOW_START",
     "CONGESTION_AVOIDANCE",
     "FAST_RECOVERY",
     "TIMEOUT_BACKOFF",
     "PHASE_NAMES",
-    "SendAction",
     "TcpSender",
     "TcpReceiver",
 ]
@@ -41,12 +41,6 @@ PHASE_NAMES = {
 MAX_BACKOFF_EXP = 6
 RTO_GRANULARITY_S = 0.01
 MIN_RTO_S = 1.0
-
-
-@dataclass(slots=True)
-class SendAction:
-    seq: int
-    retransmit: bool
 
 
 class TcpSender:
@@ -118,32 +112,38 @@ class TcpSender:
                  PHASE_NAMES[self.phase])
             )
 
-    def _emit_new(self, now) -> list[SendAction]:
+    def _emit_new(self, now) -> list[int]:
         """Fill the window: pending post-timeout resends first, then fresh
-        application segments (the source is endless, data is always ready)."""
-        acts = []
+        application segments as one range (the source is endless, data is
+        always ready)."""
         limit = min(int(self.cwnd + 1e-9), self.rwnd)
-        # every send adds one to flight, except the resend that exhausts the
-        # resend window: flight then switches to the plain sequence range
-        room = limit - self.flight
-        while room > 0:
-            room -= 1
-            if self.resend_next <= self.resend_high:
-                seq = self.resend_next
-                self.resend_next += 1
-                acts.append(self._retransmit(seq))
-                if self.resend_next > self.resend_high:
-                    room = limit - self.flight
-                continue
-            seq = self.next_seq
-            self.next_seq += 1
-            self.send_time[seq] = now
-            acts.append(SendAction(seq, retransmit=False))
-        return acts
+        send_time = self.send_time
+        seqs = []
+        lo = self.resend_next
+        if lo <= self.resend_high:
+            # every resend adds one to flight, except the one that exhausts
+            # the resend window: flight then switches to the plain range
+            hi = min(lo + limit - self.flight, self.resend_high + 1)
+            if hi <= lo:
+                return seqs
+            for seq in range(lo, hi):
+                send_time.pop(seq, None)   # Karn: no sample from retransmits
+            self.resend_next = hi
+            seqs += range(lo, hi)
+            if hi <= self.resend_high:
+                return seqs
+        first = self.next_seq
+        stop = self.snd_una + limit
+        if stop > first:
+            for seq in range(first, stop):
+                send_time[seq] = now
+            self.next_seq = stop
+            seqs += range(first, stop)
+        return seqs
 
-    def _retransmit(self, seq) -> SendAction:
+    def _retransmit(self, seq) -> int:
         self.send_time.pop(seq, None)      # Karn: no sample from retransmits
-        return SendAction(seq, retransmit=True)
+        return seq
 
     def _take_rtt_sample(self, sample: float):
         if self.srtt is None:
@@ -168,55 +168,52 @@ class TcpSender:
 
     # -- events ------------------------------------------------------------
 
-    def start(self, now) -> list[SendAction]:
+    def start(self, now) -> list[int]:
         """Connection established (handshake collapsed into the start
         offset); emits the initial window."""
         self.started = True
         self._log(now, "start")
-        acts = self._emit_new(now)
+        seqs = self._emit_new(now)
         self._restart_timer(now)
-        return acts
+        return seqs
 
-    def on_ack(self, ack_no: int, now: float) -> list[SendAction]:
+    def on_ack(self, ack_no: int, now: float) -> list[int]:
         if ack_no < self.snd_una:
             return []                       # stale
         if ack_no == self.snd_una:
             return self._on_dup_ack(now)
         return self._on_new_ack(ack_no, now)
 
-    def _on_dup_ack(self, now) -> list[SendAction]:
+    def _on_dup_ack(self, now) -> list[int]:
         if self.flight == 0:
             return []
         self.dup_acks += 1
-        acts = []
         if self.phase == FAST_RECOVERY:
             self.cwnd += 1.0                # inflate for the departed segment
-            acts += self._emit_new(now)
-        elif self.dup_acks == 3 and self.snd_una - 1 > self.recover:
+            return self._emit_new(now)
+        if self.dup_acks == 3 and self.snd_una - 1 > self.recover:
             self.ssthresh = max(self.cwnd / 2.0, 2.0)
             self.recover = self.next_seq - 1
             self.cwnd = self.ssthresh + 3.0
             self.phase = FAST_RECOVERY
             self._log(now, "fr_enter")
-            acts.append(self._retransmit(self.snd_una))
-            acts += self._emit_new(now)
-        return acts
+            return [self._retransmit(self.snd_una), *self._emit_new(now)]
+        return []
 
-    def _on_new_ack(self, ack_no, now) -> list[SendAction]:
+    def _on_new_ack(self, ack_no, now) -> list[int]:
         newly = ack_no - self.snd_una
-        sample = None
-        for seq in range(self.snd_una, ack_no):
-            t0 = self.send_time.pop(seq, None)
-            if seq == ack_no - 1 and t0 is not None:
-                sample = now - t0
-        if sample is not None:
-            self._take_rtt_sample(sample)
+        send_time = self.send_time
+        for seq in range(self.snd_una, ack_no - 1):
+            send_time.pop(seq, None)
+        t0 = send_time.pop(ack_no - 1, None)   # sample the newest only
+        if t0 is not None:
+            self._take_rtt_sample(now - t0)
         self.backoff_exp = 0
         self.snd_una = ack_no
         if self.resend_next < ack_no:
             self.resend_next = ack_no     # the ACK covers pending resends
 
-        acts = []
+        rtx = None
         if self.phase == FAST_RECOVERY:
             if ack_no > self.recover:
                 self.cwnd = self.ssthresh   # full ACK: deflate and leave FR
@@ -227,7 +224,7 @@ class TcpSender:
                 # partial ACK: deflate by the amount acked, inflate by one,
                 # retransmit the next hole (one lost segment per round)
                 self.cwnd = max(1.0, self.cwnd - newly + 1.0)
-                acts.append(self._retransmit(self.snd_una))
+                rtx = self._retransmit(self.snd_una)
         else:
             self.dup_acks = 0
             if self.phase == SLOW_START:
@@ -241,10 +238,12 @@ class TcpSender:
                 self.cwnd += newly / (self.b * int(self.cwnd))
 
         self._restart_timer(now)
-        acts += self._emit_new(now)
-        return acts
+        seqs = self._emit_new(now)
+        if rtx is not None:
+            seqs.insert(0, rtx)
+        return seqs
 
-    def on_timeout(self, now) -> list[SendAction]:
+    def on_timeout(self, now) -> list[int]:
         """Retransmission timer expiry: multiplicative backoff and restart
         from slow start.
 
@@ -261,12 +260,12 @@ class TcpSender:
         self.recover = self.next_seq - 1
         self.backoff_exp = min(self.backoff_exp + 1, MAX_BACKOFF_EXP)
         self._log(now, "timeout")
-        act = self._retransmit(self.snd_una)
-        self.resend_next = self.snd_una + 1
+        seq = self._retransmit(self.snd_una)
+        self.resend_next = seq + 1
         self.resend_high = self.next_seq - 1
         self.phase = SLOW_START
         self._restart_timer(now)
-        return [act]
+        return [seq]
 
 
 class TcpReceiver:
@@ -290,8 +289,9 @@ class TcpReceiver:
         self.ack_timer_deadline = None
         return self.rcv_next
 
-    def on_segment(self, seq: int, now: float) -> list[int]:
-        """Process one complete segment; returns ACK numbers to emit now."""
+    def on_segment(self, seq: int, now: float) -> int | None:
+        """Process one complete segment; returns the ACK number to emit
+        now, or None."""
         if seq == self.rcv_next:
             advanced = 1
             self.rcv_next += 1
@@ -302,24 +302,25 @@ class TcpReceiver:
             self.delivered += advanced
             self.pending_unacked += advanced
             if advanced > 1 or self.ooo:
-                return [self._cumulative_ack()]     # gap filled / still gappy
+                return self._cumulative_ack()       # gap filled / still gappy
             if self.pending_unacked >= self.b:
-                return [self._cumulative_ack()]
+                return self._cumulative_ack()
             if self.ack_timer_deadline is None:
                 self.ack_timer_deadline = now + self.ack_delay_s
-            return []
+            return None
         if seq > self.rcv_next:
             if seq in self.ooo:
                 self.spurious += 1
             else:
                 self.ooo.add(seq)
-            return [self._cumulative_ack()]         # immediate duplicate ACK
+            return self._cumulative_ack()           # immediate duplicate ACK
         self.spurious += 1
-        return [self._cumulative_ack()]             # old duplicate
+        return self._cumulative_ack()               # old duplicate
 
-    def poll_timer(self, now: float) -> list[int]:
+    def poll_timer(self, now: float) -> int | None:
+        """The ACK number the delayed-ACK timer releases now, or None."""
         if (self.ack_timer_deadline is not None
                 and now >= self.ack_timer_deadline - 1e-12
                 and self.pending_unacked > 0):
-            return [self._cumulative_ack()]
-        return []
+            return self._cumulative_ack()
+        return None

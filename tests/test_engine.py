@@ -10,7 +10,7 @@ from crdsasim.engine import (
     run, sweep,
 )
 from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
-from crdsasim.tcp import SendAction, TcpSender
+from crdsasim.tcp import TcpSender
 
 
 def make_cfg(wf=14, mss=173, n=5, dur=40.0, seed=11, **kw):
@@ -139,19 +139,19 @@ class TestQueueActions:
     def test_dropped_retransmission_does_not_block_later_resends(self):
         flow = self.make_flow(1)
         flow.txq.push(SegmentRef(1, 188.0))
-        _queue_actions(flow, [SendAction(7, retransmit=True)], 188.0)
+        _queue_actions(flow, [7], 8, 188.0)
         assert flow.txq.overflow_drops == 1
         assert 7 not in flow.queued_untx
         flow.txq = TxQueue(capacity_segments=1)
-        _queue_actions(flow, [SendAction(7, retransmit=True)], 188.0)
+        _queue_actions(flow, [7], 8, 188.0)
         [seg] = flow.txq.pending
         assert seg.seg_seq == 7 and seg.retransmit
         assert 7 in flow.queued_untx
 
     def test_resend_of_queued_sequence_is_noop(self):
         flow = self.make_flow(10)
-        _queue_actions(flow, [SendAction(3, retransmit=False),
-                              SendAction(3, retransmit=True)], 188.0)
+        _queue_actions(flow, [3], 3, 188.0)
+        _queue_actions(flow, [3], 4, 188.0)
         assert [(s.seg_seq, s.retransmit) for s in flow.txq.pending] == [(3, False)]
         assert flow.queued_untx == {3}
 
@@ -162,7 +162,7 @@ class TestIncarnationFate:
         # both marks the one incarnation lost once
         flow = _Flow(0, TcpSender(0), None, TxQueue(), 0)
         tally = _Tally(np.zeros(1), [0.0])
-        _queue_actions(flow, [SendAction(1, retransmit=False)], 188.0)
+        _queue_actions(flow, [1], 1, 188.0)
         bursts = [pack_next_burst(flow.txq, 100.0) for _ in range(2)]
         first = bursts[0][0]
         assert bursts[1][0] is first
@@ -175,7 +175,7 @@ class TestIncarnationFate:
         # the resend is a new incarnation of the same seq, queued alive;
         # losing it is one more segment loss within the same loss event
         flow.queued_untx.discard(1)        # as the engine does once sent
-        _queue_actions(flow, [SendAction(1, retransmit=True)], 188.0)
+        _queue_actions(flow, [1], 2, 188.0)
         [resend] = flow.txq.pending
         assert resend is not first
         assert resend.retransmit and not resend.lost

@@ -10,6 +10,7 @@ import heapq
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crdsasim.tcp import (
     CONGESTION_AVOIDANCE,
@@ -35,38 +36,44 @@ class PipeHarness:
     def _post(self, t, kind, data=None):
         heapq.heappush(self.queue, (t, next(self.counter), kind, data))
 
-    def _do(self, acts, now):
-        for a in acts:
-            self.sends.append((now, a.seq, a.retransmit, self.sender.phase))
-            if not a.retransmit and a.seq in self.lose_once \
-                    and a.seq not in self.dropped:
-                self.dropped.add(a.seq)
+    def _do(self, now, handler, *args):
+        """Call a sender handler and send its seqs: a seq below the
+        sender's next_seq before the call is a retransmission."""
+        first_new = self.sender.next_seq
+        for seq in handler(*args):
+            retransmit = seq < first_new
+            self.sends.append((now, seq, retransmit, self.sender.phase))
+            if not retransmit and seq in self.lose_once \
+                    and seq not in self.dropped:
+                self.dropped.add(seq)
                 continue
-            self._post(now + self.delay, "seg", a.seq)
+            self._post(now + self.delay, "seg", seq)
         if self.sender.timer_deadline is not None:
             self._post(self.sender.timer_deadline, "stimer")
 
+    def _ack(self, now, ack):
+        if ack is not None:
+            self._post(now + self.delay, "ack", ack)
+
     def run(self, duration, start=True):
         if start:
-            self._do(self.sender.start(0.0), 0.0)
+            self._do(0.0, self.sender.start, 0.0)
         while self.queue:
             t, _, kind, data = heapq.heappop(self.queue)
             if t > duration:
                 break
             if kind == "seg":
-                for ack in self.receiver.on_segment(data, t):
-                    self._post(t + self.delay, "ack", ack)
+                self._ack(t, self.receiver.on_segment(data, t))
                 if self.receiver.ack_timer_deadline is not None:
                     self._post(self.receiver.ack_timer_deadline, "rtimer")
             elif kind == "rtimer":
-                for ack in self.receiver.poll_timer(t):
-                    self._post(t + self.delay, "ack", ack)
+                self._ack(t, self.receiver.poll_timer(t))
             elif kind == "ack":
-                self._do(self.sender.on_ack(data, t), t)
+                self._do(t, self.sender.on_ack, data, t)
                 self.cwnd_log.append((t, self.sender.cwnd))
             elif kind == "stimer":
                 if self.sender.timer_expired(t):
-                    self._do(self.sender.on_timeout(t), t)
+                    self._do(t, self.sender.on_timeout, t)
         return self
 
 
@@ -149,32 +156,67 @@ class TestAppSource:
         s = steady_ca_sender(cwnd=4.0)
         s.started = True
         s.next_seq = 4          # 3 outstanding of window 4
-        acts = s._emit_new(0.0)
-        assert [(a.seq, a.retransmit) for a in acts] == [(4, False)]
+        assert s._emit_new(0.0) == [4]      # new data: not below next_seq 4
+        assert s.next_seq == 5
 
     def test_fresh_flow_emits_initial_window(self):
         s = TcpSender(0, b=2, initial_cwnd=2.0)
-        acts = s.start(0.0)
-        assert [a.seq for a in acts] == [1, 2]
+        assert s.start(0.0) == [1, 2]
+        assert s.next_seq == 3
         assert s.timer_deadline is not None
+
+
+class TestSenderContract:
+    """Every handler returns its retransmissions, all below the sender's
+    next_seq before the call, followed by exactly the new range."""
+
+    # timeouts are rarer than ACKs, so that fast recovery and its partial
+    # ACKs are reached
+    @given(ops=st.lists(st.tuples(st.sampled_from(["new", "dup", "dup", "dup",
+                                                   "new", "timeout"]),
+                                  st.floats(min_value=0.0, max_value=1.0)),
+                        min_size=20, max_size=150),
+           b=st.sampled_from([1, 2, 3]),
+           rwnd=st.sampled_from([2, 5, 10000]))
+    @settings(max_examples=200, deadline=None)
+    def test_resends_then_the_new_range(self, ops, b, rwnd):
+        s = TcpSender(0, b=b, rwnd_segments=rwnd)
+
+        def check(handler, *args):
+            first_new = s.next_seq
+            seqs = handler(*args)
+            new = list(range(first_new, s.next_seq))
+            k = len(seqs) - len(new)
+            assert k >= 0 and seqs[k:] == new
+            assert all(seq < first_new for seq in seqs[:k])
+
+        check(s.start, 0.0)
+        for i, (kind, x) in enumerate(ops, 1):
+            now = 0.1 * i
+            outstanding = s.next_seq - s.snd_una
+            if kind == "timeout":
+                check(s.on_timeout, now)
+            elif kind == "dup" or not outstanding:
+                check(s.on_ack, s.snd_una, now)
+            else:
+                check(s.on_ack, s.snd_una + 1 + int(x * (outstanding - 1)), now)
 
 
 class TestDelayedAcks:
     def test_ack_every_b_segments(self):
         r = TcpReceiver(b=2)
-        acks = []
-        for seq in range(1, 8):           # 7 in-order segments
-            acks += r.on_segment(seq, float(seq))
-        assert acks == [3, 5, 7]          # every 2nd, cumulative
-        acks += r.poll_timer(7.0 + 0.2)   # timer releases the odd tail
-        assert acks == [3, 5, 7, 8]
+        acks = [r.on_segment(seq, float(seq)) for seq in range(1, 8)]
+        # every 2nd of 7 in-order segments, cumulative
+        assert acks == [None, 3, None, 5, None, 7, None]
+        assert r.poll_timer(7.0 + 0.2) == 8    # timer releases the odd tail
+        assert r.poll_timer(7.0 + 0.4) is None
 
     def test_out_of_order_acks_immediately(self):
         r = TcpReceiver(b=2)
-        assert r.on_segment(1, 0.0) == []
-        assert r.on_segment(3, 0.1) == [2]     # immediate dup
-        assert r.on_segment(4, 0.2) == [2]
-        assert r.on_segment(2, 0.3) == [5]     # gap fill -> immediate
+        assert r.on_segment(1, 0.0) is None
+        assert r.on_segment(3, 0.1) == 2       # immediate dup
+        assert r.on_segment(4, 0.2) == 2
+        assert r.on_segment(2, 0.3) == 5       # gap fill -> immediate
         assert r.delivered == 4
 
     def test_duplicate_segments_counted_spurious(self):
@@ -224,10 +266,10 @@ class TestFastRecovery:
         orig = TcpSender._on_dup_ack
 
         def spy(self, now):
-            acts = orig(self, now)
+            seqs = orig(self, now)
             if self is s and s.phase == FAST_RECOVERY and len(captured) == 0:
                 captured.append(s.dup_acks)
-            return acts
+            return seqs
 
         monkeypatch.setattr(TcpSender, "_on_dup_ack", spy)
         PipeHarness(s, TcpReceiver(b=2), delay=0.25, lose_once={5}).run(3.0)
