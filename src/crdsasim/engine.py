@@ -5,8 +5,9 @@ Each block, in order:
 1. flush: once the oldest held block's payloads are due, every held
    block is SIC-decoded in one batch, and its bursts are lost or sent on
    to the gateway, in block order and burst order;
-2. arrivals: the decoded bursts due reach the gateway, and completed
-   segments go to the receivers, which ACK or start a delayed-ACK timer;
+2. arrivals: the decoded bursts due reach the gateway, and the segments
+   they complete go to the receivers, which ACK or start a delayed-ACK
+   timer;
 3. ACKs: the ACKs due drive the senders, whose seqs the flows' queues
    admit;
 4. due timers: the flows whose delayed-ACK timer, start or
@@ -15,6 +16,10 @@ Each block, in order:
 6. MAC: the shared MAC stream places one burst per backlogged terminal,
    one pass over the bursts, in flow order, packs each payload and
    samples the queue depth, and the block is held for SIC.
+
+A queued segment incarnation is one ``rle.SegmentRef`` from the device
+queue to the receiver: a burst is the list of incarnations it touched, and
+its loss marks each of them lost.
 
 Apart from the window sample, work per block scales with these events,
 not with the number of terminals.  Decoded payloads travel to the gateway
@@ -47,7 +52,7 @@ from crdsasim.config import (
 from crdsasim import mac
 # sic_decode, the one-block decoder, stays reachable as engine.sic_decode
 from crdsasim.mac import sample_replica_slots, sic_decode  # noqa: F401
-from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
+from crdsasim.rle import TxQueue, pack_next_burst
 from crdsasim.tcp import TcpReceiver, TcpSender
 
 __all__ = ["RunMetrics", "run", "sweep", "sweep_point_config", "TABLE6_COLUMNS"]
@@ -145,15 +150,14 @@ def _due_block(deadline: float, dt: float) -> int:
 
 @dataclass(slots=True)
 class _Flow:
-    """One terminal: its TCP endpoints, its device queue, the sequences
-    queued but not yet sent, and the end of its current loss event."""
+    """One terminal: its TCP endpoints, its device queue and the end of its
+    current loss event."""
 
     idx: int
     sender: TcpSender
     receiver: TcpReceiver
     txq: TxQueue
     start_block: int
-    queued_untx: set = field(default_factory=set)    # seqs queued, never sent
     event_end_seq: int = 0     # first seq past the current loss event
     # blocks of the live delayed-ACK and retransmission-timer entries
     ack_due: int = NO_ENTRY
@@ -177,27 +181,6 @@ class _Tally:
     # compensates float sums on Python >= 3.12 and would change e_w
     cw_sum: float = 0.0
     cwnd_hist: dict = field(default_factory=dict)   # sampled every 8th block
-
-
-def _queue_actions(flow: _Flow, seqs, first_new: int, seg_bytes: float):
-    """Put a sender's seqs on the flow's FIFO device queue, one new segment
-    incarnation per seq; the seqs below ``first_new`` are resends.
-
-    Retransmissions share the queue with new data.  A resend of a sequence
-    that still has an untransmitted copy queued is a no-op: that copy goes
-    out in admission order.  A tail-dropped segment is not marked queued,
-    so it cannot suppress a later resend of its sequence.  Returns whether
-    a segment went in.
-    """
-    pushed = False
-    for seq in seqs:
-        retransmit = seq < first_new
-        if retransmit and seq in flow.queued_untx:
-            continue
-        if flow.txq.push(SegmentRef(seq, seg_bytes, retransmit)):
-            flow.queued_untx.add(seq)
-            pushed = True
-    return pushed
 
 
 def _file(due_sets, fi: int, deadline, dt: float, first_block: int) -> int:
@@ -337,7 +320,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             sender = flow.sender
             first_new = sender.next_seq
             seqs = sender.on_ack(ack_no, now)
-            if seqs and _queue_actions(flow, seqs, first_new, seg_bytes):
+            if seqs and flow.txq.admit(seqs, first_new, seg_bytes):
                 backlog.add(fi)
             deadline = sender.timer_deadline
             if deadline is not None and (flow.rto_due - 1) * dt >= deadline - 1e-12:
@@ -367,7 +350,7 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                 continue
             else:
                 seqs = sender.on_timeout(now) if sender.timer_expired(now) else ()
-            if seqs and _queue_actions(flow, seqs, first_new, seg_bytes):
+            if seqs and flow.txq.admit(seqs, first_new, seg_bytes):
                 backlog.add(fi)
             flow.rto_due = _file(timers_due, fi, sender.timer_deadline, dt, b + 1)
 
@@ -407,8 +390,6 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             depth = len(txq)
             if not depth:
                 backlog.discard(fi)
-            for seg in segs:
-                flow.queued_untx.discard(seg.seg_seq)
             if measuring:
                 tally.qd_sum[fi] += depth
                 tally.segments_sent += done

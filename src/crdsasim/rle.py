@@ -2,7 +2,7 @@
 
 Packs queued TCP segments into fixed-size burst payloads (whole segments,
 fragments, or several small segments per burst).  A queued segment
-incarnation is one ``SegmentRef`` from the queue to the gateway: a burst
+incarnation is one ``SegmentRef`` from admission to the gateway: a burst
 is the list of segments it touched, and only the queue's cursor records
 how much of a partly sent segment is out.  Byte amounts are kept as floats
 because the effective burst payload is calibrated in fractional segment
@@ -45,13 +45,28 @@ class TxQueue:
     def has_data(self) -> bool:
         return self.cursor_seg is not None or bool(self.pending)
 
-    def push(self, seg: SegmentRef) -> bool:
-        """Append a segment; tail-drops (and counts) on overflow."""
-        if len(self.pending) >= self.capacity_segments:
-            self.overflow_drops += 1
-            return False
-        self.pending.append(seg)
-        return True
+    def admit(self, seqs, first_new: int, seg_bytes: float) -> bool:
+        """Queue a sender's batch in order, one new ``seg_bytes`` segment
+        incarnation per seq; the seqs below ``first_new`` are resends.
+
+        A resend of a seq that still has a copy in ``pending`` is a no-op:
+        that copy goes out in admission order.  Once ``pending`` holds
+        ``capacity_segments``, the rest are tail-dropped and counted.
+        Returns whether a segment went in.
+        """
+        pending = self.pending
+        room = free = self.capacity_segments - len(pending)
+        for seq in seqs:
+            retransmit = seq < first_new
+            if retransmit and any(s.seg_seq == seq for s in pending):
+                continue
+            if room > 0:
+                pending.append(SegmentRef(seq, seg_bytes, retransmit))
+                room -= 1
+            else:
+                self.overflow_drops += 1
+        return room < free
+
 
 def pack_next_burst(q: TxQueue, payload_bytes: float,
                     max_distinct: int | None = None) -> list[SegmentRef] | None:

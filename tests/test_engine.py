@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG, parse_scenario_text
 from crdsasim.engine import (
-    _due_block, _Flow, _lose_burst, _queue_actions, _Tally, metrics_to_json,
-    run, sweep,
+    _due_block, _Flow, _lose_burst, _Tally, metrics_to_json, run, sweep,
 )
-from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
+from crdsasim.rle import TxQueue, pack_next_burst
 from crdsasim.tcp import TcpSender
 
 
@@ -133,27 +132,25 @@ class TestDueBlock:
 
 
 class TestQueueActions:
-    def make_flow(self, capacity):
-        return _Flow(0, None, None, TxQueue(capacity_segments=capacity), 0)
+    """A flow's queue admits a sender's batch; a seq below the sender's
+    next_seq before the call (``first_new``) is a resend."""
 
     def test_dropped_retransmission_does_not_block_later_resends(self):
-        flow = self.make_flow(1)
-        flow.txq.push(SegmentRef(1, 188.0))
-        _queue_actions(flow, [7], 8, 188.0)
-        assert flow.txq.overflow_drops == 1
-        assert 7 not in flow.queued_untx
-        flow.txq = TxQueue(capacity_segments=1)
-        _queue_actions(flow, [7], 8, 188.0)
-        [seg] = flow.txq.pending
+        txq = TxQueue(capacity_segments=1)
+        assert txq.admit([1], 1, 188.0)
+        assert not txq.admit([7], 8, 188.0)
+        assert txq.overflow_drops == 1
+        pack_next_burst(txq, 188.0)        # seq 1 leaves: room for one
+        assert txq.admit([7], 8, 188.0)
+        [seg] = txq.pending
         assert seg.seg_seq == 7 and seg.retransmit
-        assert 7 in flow.queued_untx
 
     def test_resend_of_queued_sequence_is_noop(self):
-        flow = self.make_flow(10)
-        _queue_actions(flow, [3], 3, 188.0)
-        _queue_actions(flow, [3], 4, 188.0)
-        assert [(s.seg_seq, s.retransmit) for s in flow.txq.pending] == [(3, False)]
-        assert flow.queued_untx == {3}
+        txq = TxQueue(capacity_segments=10)
+        assert txq.admit([3], 3, 188.0)
+        assert not txq.admit([3], 4, 188.0)
+        assert [(s.seg_seq, s.retransmit) for s in txq.pending] == [(3, False)]
+        assert txq.overflow_drops == 0
 
 
 class TestIncarnationFate:
@@ -162,7 +159,7 @@ class TestIncarnationFate:
         # both marks the one incarnation lost once
         flow = _Flow(0, TcpSender(0), None, TxQueue(), 0)
         tally = _Tally(np.zeros(1), [0.0])
-        _queue_actions(flow, [1], 1, 188.0)
+        flow.txq.admit([1], 1, 188.0)
         bursts = [pack_next_burst(flow.txq, 100.0) for _ in range(2)]
         first = bursts[0][0]
         assert bursts[1][0] is first
@@ -174,8 +171,7 @@ class TestIncarnationFate:
 
         # the resend is a new incarnation of the same seq, queued alive;
         # losing it is one more segment loss within the same loss event
-        flow.queued_untx.discard(1)        # as the engine does once sent
-        _queue_actions(flow, [1], 2, 188.0)
+        flow.txq.admit([1], 2, 188.0)
         [resend] = flow.txq.pending
         assert resend is not first
         assert resend.retransmit and not resend.lost

@@ -1,16 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crdsasim.rle import SegmentRef, TxQueue, pack_next_burst
-
-
-def seg(n, total=188.0, retransmit=False):
-    return SegmentRef(seg_seq=n, bytes_total=total, retransmit=retransmit)
+from crdsasim.rle import TxQueue, pack_next_burst
 
 
 def fill(q, n, total=188.0):
-    for i in range(1, n + 1):
-        q.push(seg(i, total))
+    """Admit seqs 1..n as new data."""
+    q.admit(range(1, n + 1), 1, total)
 
 
 def pack(q, payload, max_distinct=None):
@@ -156,11 +152,96 @@ class TestPacking:
 class TestOverflow:
     def test_tail_drop_counts(self):
         q = TxQueue(capacity_segments=3)
-        for i in range(5):
-            q.push(seg(i))
+        assert q.admit(range(5), 0, 188.0)
         assert len(q.pending) == 3
         assert q.overflow_drops == 2
         assert [s.seg_seq for s in q.pending] == [0, 1, 2]
+        assert not q.admit([5], 5, 188.0)
+        assert q.overflow_drops == 3
+
+
+class SetRule:
+    """The admission rule with a set: the seqs that have a copy admitted
+    and never packed.  A resend of a seq in the set is a no-op; past the
+    capacity, segments are tail-dropped and counted, and do not enter the
+    set."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.queue = []            # (seq, retransmit) admitted, never packed
+        self.untx = set()
+        self.drops = 0
+
+    def admit(self, seqs, first_new):
+        pushed = False
+        for seq in seqs:
+            retransmit = seq < first_new
+            if retransmit and seq in self.untx:
+                continue
+            if len(self.queue) >= self.capacity:
+                self.drops += 1
+                continue
+            self.queue.append((seq, retransmit))
+            self.untx.add(seq)
+            pushed = True
+        return pushed
+
+    def packed(self, n):
+        """The first n queued copies leave the queue for the link."""
+        for seq, _ in self.queue[:n]:
+            self.untx.discard(seq)
+        del self.queue[:n]
+
+
+class TestAdmission:
+    @given(
+        capacity=st.integers(1, 4),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("pack"), st.sampled_from([50.0, 100.0, 188.0, 300.0])),
+                st.tuples(st.just("admit"),
+                          st.lists(st.integers(1, 4), max_size=4),
+                          st.integers(0, 3)),
+            ),
+            max_size=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_set_rule(self, capacity, steps):
+        """Random sender batches (resends of the last few seqs, then a new
+        range) interleaved with packs of whole, partial and several
+        segments."""
+        q = TxQueue(capacity_segments=capacity)
+        rule = SetRule(capacity)
+        first_new = 1
+        for step in steps:
+            if step[0] == "pack":
+                cursor = q.cursor_seg
+                segs = pack_next_burst(q, step[1], max_distinct=2)
+                left = [s for s in segs or () if s is not cursor]
+                assert [(s.seg_seq, s.retransmit) for s in left] == rule.queue[:len(left)]
+                rule.packed(len(left))
+            else:
+                _, back, n_new = step
+                resends = [first_new - k for k in back if first_new - k >= 1]
+                seqs = resends + list(range(first_new, first_new + n_new))
+                got = q.admit(seqs, first_new, 188.0)
+                assert got == rule.admit(seqs, first_new)
+                first_new += n_new
+            assert [(s.seg_seq, s.retransmit) for s in q.pending] == rule.queue
+            assert q.overflow_drops == rule.drops
+
+    def test_resend_of_a_seq_queued_behind_its_cursor_is_noop(self):
+        # seq 1 is partly sent when a timeout resends it; its first copy
+        # finishes while the resend still waits behind seq 2, so a second
+        # resend finds the queued copy and is a no-op
+        q = TxQueue()
+        fill(q, 2)
+        pack_next_burst(q, 100.0)
+        assert q.cursor_seg.seg_seq == 1
+        assert q.admit([1], 3, 188.0)
+        assert [s.seg_seq for s in pack_next_burst(q, 100.0)] == [1, 2]
+        assert not q.admit([1], 3, 188.0)
+        assert [(s.seg_seq, s.retransmit) for s in q.pending] == [(1, True)]
 
 
 def carried(segs):
