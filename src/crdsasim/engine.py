@@ -10,8 +10,9 @@ Each block, in order:
    timer;
 3. ACKs: the ACKs due drive the senders, whose seqs the flows' queues
    admit;
-4. due timers: the flows whose delayed-ACK timer, start or
-   retransmission timer is due this block are visited in index order;
+4. due timers: each flow with a timer due this block is visited once,
+   in index order: its delayed-ACK poll, then its start or retransmission
+   timeout;
 5. sample: every flow's window is sampled;
 6. MAC: the shared MAC stream places one burst per backlogged terminal,
    one pass over the bursts, in flow order, packs each payload and
@@ -153,11 +154,9 @@ class _Flow:
     """One terminal: its TCP endpoints, its device queue and the end of its
     current loss event."""
 
-    idx: int
     sender: TcpSender
     receiver: TcpReceiver
     txq: TxQueue
-    start_block: int
     event_end_seq: int = 0     # first seq past the current loss event
     # blocks of the live delayed-ACK and retransmission-timer entries
     ack_due: int = NO_ENTRY
@@ -251,26 +250,10 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
     delay_ack = half + proc // 2
     r, f = fragmentation_profile(cfg)
     max_distinct = f if r > 1.0 else None
-    seg_bytes = float(cfg.segment_bytes_on_air)
     payload = cfg.rle_payload_bytes
     stagger_blocks = max(1, int(round(START_STAGGER_RTTS * cfg.nominal_rtt_s / dt)))
 
     mac_rng = make_rng(cfg.seed, MAC_STREAM)
-    flows = []
-    for i in range(cfg.n_rcst):
-        frng = make_rng(cfg.seed, rcst_stream(i))
-        start_block = int(frng.random() * stagger_blocks)
-        sender = TcpSender(
-            i, b=cfg.delayed_ack_b, initial_rto_s=cfg.initial_rto_s,
-            rwnd_segments=cfg.buffer_segments, trace=trace,
-        )
-        receiver = TcpReceiver(b=cfg.delayed_ack_b)
-        txq = TxQueue(capacity_segments=cfg.buffer_segments)
-        flows.append(_Flow(i, sender, receiver, txq, start_block))
-
-    senders = [flow.sender for flow in flows]
-    acks_due = defaultdict(list)       # block -> [(flow_idx, ack_no)]
-    arrivals_due = defaultdict(list)   # block -> [(flow_idx, segs, done)]
     # block -> flows to visit: delayed-ACK timers to poll, and starts and
     # retransmission timers.  An entry is filed no later than the first
     # block its deadline passes the timer test, which still decides.  Each
@@ -278,10 +261,21 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
     # files a new entry only if its deadline is due before the live one,
     # so a re-arm that moves a deadline later keeps the entry, which
     # re-files itself when it pops before the deadline.
-    polls_due = defaultdict(set)
-    timers_due = defaultdict(set)
-    for flow in flows:
-        timers_due[flow.start_block].add(flow.idx)
+    due = defaultdict(set)
+    flows = []
+    for i in range(cfg.n_rcst):
+        frng = make_rng(cfg.seed, rcst_stream(i))
+        due[int(frng.random() * stagger_blocks)].add(i)
+        sender = TcpSender(
+            i, b=cfg.delayed_ack_b, initial_rto_s=cfg.initial_rto_s,
+            rwnd_segments=cfg.buffer_segments, trace=trace,
+        )
+        txq = TxQueue(float(cfg.segment_bytes_on_air), cfg.buffer_segments)
+        flows.append(_Flow(sender, TcpReceiver(b=cfg.delayed_ack_b), txq))
+
+    senders = [flow.sender for flow in flows]
+    acks_due = defaultdict(list)       # block -> [(flow_idx, ack_no)]
+    arrivals_due = defaultdict(list)   # block -> [(flow_idx, segs, done)]
     backlog = set()                    # flows with queued data
     held = []                          # packed blocks awaiting SIC
     tally = _Tally(np.zeros(n_blocks - warmup_block, dtype=np.float64),
@@ -312,36 +306,36 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                 if ack is not None:
                     acks_out.append((fi, ack))
                 elif (flow.ack_due - 1) * dt >= receiver.ack_timer_deadline - 1e-12:
-                    flow.ack_due = _file(polls_due, fi,
-                                         receiver.ack_timer_deadline, dt, b)
+                    flow.ack_due = _file(due, fi, receiver.ack_timer_deadline,
+                                         dt, b)
 
         for fi, ack_no in acks_due.pop(b, ()):
             flow = flows[fi]
             sender = flow.sender
             first_new = sender.next_seq
             seqs = sender.on_ack(ack_no, now)
-            if seqs and flow.txq.admit(seqs, first_new, seg_bytes):
+            if seqs and flow.txq.admit(seqs, first_new):
                 backlog.add(fi)
             deadline = sender.timer_deadline
             if deadline is not None and (flow.rto_due - 1) * dt >= deadline - 1e-12:
-                flow.rto_due = _file(timers_due, fi, deadline, dt, b)
+                flow.rto_due = _file(due, fi, deadline, dt, b)
 
-        # 4. the timers due this block, by flow index: delayed-ACK polls
-        # (after this block's ACKs, as nominal_rtt_s >= block_duration_s
-        # makes delay_ack >= 1), then starts and retransmission timeouts.
-        # An entry that an earlier one replaced is skipped.
-        for fi in sorted(polls_due.pop(b, ())):
+        # 4. the flows due this block, by flow index, each visited once: its
+        # delayed-ACK poll (after this block's ACKs, as nominal_rtt_s >=
+        # block_duration_s makes delay_ack >= 1), then its start or
+        # retransmission timeout.  A poll touches only its receiver and a
+        # timeout only its sender and queue, so this equals polling every
+        # flow first.  A timer whose entry an earlier one replaced is
+        # skipped.
+        for fi in sorted(due.pop(b, ())):
             flow = flows[fi]
-            if flow.ack_due != b:
-                continue
-            receiver = flow.receiver
-            ack = receiver.poll_timer(now)
-            if ack is not None:
-                acks_out.append((fi, ack))
-            flow.ack_due = _file(polls_due, fi, receiver.ack_timer_deadline,
-                                 dt, b + 1)
-        for fi in sorted(timers_due.pop(b, ())):
-            flow = flows[fi]
+            if flow.ack_due == b:
+                receiver = flow.receiver
+                ack = receiver.poll_timer(now)
+                if ack is not None:
+                    acks_out.append((fi, ack))
+                flow.ack_due = _file(due, fi, receiver.ack_timer_deadline,
+                                     dt, b + 1)
             sender = flow.sender
             first_new = sender.next_seq
             if not sender.started:
@@ -350,9 +344,9 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                 continue
             else:
                 seqs = sender.on_timeout(now) if sender.timer_expired(now) else ()
-            if seqs and flow.txq.admit(seqs, first_new, seg_bytes):
+            if seqs and flow.txq.admit(seqs, first_new):
                 backlog.add(fi)
-            flow.rto_due = _file(timers_due, fi, sender.timer_deadline, dt, b + 1)
+            flow.rto_due = _file(due, fi, sender.timer_deadline, dt, b + 1)
 
         # 5. the window sample, over every flow in index order: nothing
         # later in a block changes a window
@@ -385,16 +379,15 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             txq = flow.txq
             segs = pack_next_burst(txq, payload, max_distinct)
             # every touched segment is finished but an unfinished cursor
-            cursor = txq.cursor_seg
-            done = len(segs) - (cursor is segs[-1])
+            done = len(segs) - (txq.cursor_seg is segs[-1])
             depth = len(txq)
             if not depth:
                 backlog.discard(fi)
             if measuring:
                 tally.qd_sum[fi] += depth
                 tally.segments_sent += done
-                for seg in segs:
-                    if seg.retransmit and seg is not cursor:
+                for seg in segs[:done]:
+                    if seg.retransmit:
                         tally.retransmissions += 1
             bursts.append((fi, segs, done, flow.sender.cwnd))
         held.append((b, measuring, slots, bursts))

@@ -4,7 +4,8 @@ Packs queued TCP segments into fixed-size burst payloads (whole segments,
 fragments, or several small segments per burst).  A queued segment
 incarnation is one ``SegmentRef`` from admission to the gateway: a burst
 is the list of segments it touched, and only the queue's cursor records
-how much of a partly sent segment is out.  Byte amounts are kept as floats
+how much of a partly sent segment is out.  Every segment of a queue has
+the queue's ``seg_bytes`` on air.  Byte amounts are kept as floats
 because the effective burst payload is calibrated in fractional segment
 units (see config.DEFAULT_RLE_PAYLOAD).
 """
@@ -24,7 +25,6 @@ class SegmentRef:
     """One TCP segment incarnation as seen by the MAC queue."""
 
     seg_seq: int
-    bytes_total: float          # MSS + per-segment overhead
     retransmit: bool = False    # a resend of seg_seq, not its first copy
     lost: bool = False          # a burst carrying part of it failed SIC
 
@@ -33,6 +33,7 @@ class SegmentRef:
 class TxQueue:
     """Per-RCST FIFO of segments awaiting MAC transmission."""
 
+    seg_bytes: float            # MSS + per-segment overhead, every segment
     capacity_segments: int = 10000
     pending: deque = field(default_factory=deque)   # never packed, in order
     cursor_seg: SegmentRef | None = None   # in-progress fragmented segment
@@ -45,9 +46,9 @@ class TxQueue:
     def has_data(self) -> bool:
         return self.cursor_seg is not None or bool(self.pending)
 
-    def admit(self, seqs, first_new: int, seg_bytes: float) -> bool:
-        """Queue a sender's batch in order, one new ``seg_bytes`` segment
-        incarnation per seq; the seqs below ``first_new`` are resends.
+    def admit(self, seqs, first_new: int) -> bool:
+        """Queue a sender's batch in order, one new segment incarnation per
+        seq; the seqs below ``first_new`` are resends.
 
         A resend of a seq that still has a copy in ``pending`` is a no-op:
         that copy goes out in admission order.  Once ``pending`` holds
@@ -61,7 +62,7 @@ class TxQueue:
             if retransmit and any(s.seg_seq == seq for s in pending):
                 continue
             if room > 0:
-                pending.append(SegmentRef(seq, seg_bytes, retransmit))
+                pending.append(SegmentRef(seq, retransmit))
                 room -= 1
             else:
                 self.overflow_drops += 1
@@ -80,6 +81,7 @@ def pack_next_burst(q: TxQueue, payload_bytes: float,
     then ``q.cursor_seg``.
     """
     pending = q.pending
+    seg_bytes = q.seg_bytes
     seg = q.cursor_seg
     if seg is None:
         if not pending:
@@ -88,7 +90,7 @@ def pack_next_burst(q: TxQueue, payload_bytes: float,
         budget = payload_bytes
     else:
         touched = [seg]
-        remaining = seg.bytes_total - q.cursor_sent
+        remaining = seg_bytes - q.cursor_sent
         take = min(remaining, payload_bytes)
         if take < remaining - _EPS:
             q.cursor_sent += take
@@ -102,9 +104,9 @@ def pack_next_burst(q: TxQueue, payload_bytes: float,
             break
         seg = pending.popleft()
         touched.append(seg)
-        take = min(seg.bytes_total, budget)
+        take = min(seg_bytes, budget)
         budget -= take
-        if take < seg.bytes_total - _EPS:
+        if take < seg_bytes - _EPS:
             q.cursor_seg = seg
             q.cursor_sent = take
             break

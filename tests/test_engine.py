@@ -136,19 +136,19 @@ class TestQueueActions:
     next_seq before the call (``first_new``) is a resend."""
 
     def test_dropped_retransmission_does_not_block_later_resends(self):
-        txq = TxQueue(capacity_segments=1)
-        assert txq.admit([1], 1, 188.0)
-        assert not txq.admit([7], 8, 188.0)
+        txq = TxQueue(188.0, capacity_segments=1)
+        assert txq.admit([1], 1)
+        assert not txq.admit([7], 8)
         assert txq.overflow_drops == 1
         pack_next_burst(txq, 188.0)        # seq 1 leaves: room for one
-        assert txq.admit([7], 8, 188.0)
+        assert txq.admit([7], 8)
         [seg] = txq.pending
         assert seg.seg_seq == 7 and seg.retransmit
 
     def test_resend_of_queued_sequence_is_noop(self):
-        txq = TxQueue(capacity_segments=10)
-        assert txq.admit([3], 3, 188.0)
-        assert not txq.admit([3], 4, 188.0)
+        txq = TxQueue(188.0, capacity_segments=10)
+        assert txq.admit([3], 3)
+        assert not txq.admit([3], 4)
         assert [(s.seg_seq, s.retransmit) for s in txq.pending] == [(3, False)]
         assert txq.overflow_drops == 0
 
@@ -157,9 +157,9 @@ class TestIncarnationFate:
     def test_loss_counted_once_per_incarnation(self):
         # a 188-byte segment in 100-byte bursts spans two bursts; losing
         # both marks the one incarnation lost once
-        flow = _Flow(0, TcpSender(0), None, TxQueue(), 0)
+        flow = _Flow(TcpSender(0), None, TxQueue(188.0))
         tally = _Tally(np.zeros(1), [0.0])
-        flow.txq.admit([1], 1, 188.0)
+        flow.txq.admit([1], 1)
         bursts = [pack_next_burst(flow.txq, 100.0) for _ in range(2)]
         first = bursts[0][0]
         assert bursts[1][0] is first
@@ -171,7 +171,7 @@ class TestIncarnationFate:
 
         # the resend is a new incarnation of the same seq, queued alive;
         # losing it is one more segment loss within the same loss event
-        flow.txq.admit([1], 2, 188.0)
+        flow.txq.admit([1], 2)
         [resend] = flow.txq.pending
         assert resend is not first
         assert resend.retransmit and not resend.lost

@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from crdsasim.rle import TxQueue, pack_next_burst
 
 
-def fill(q, n, total=188.0):
-    """Admit seqs 1..n as new data."""
-    q.admit(range(1, n + 1), 1, total)
+def fill(n, seg_bytes=188.0):
+    """A queue of ``seg_bytes`` segments holding seqs 1..n as new data."""
+    q = TxQueue(seg_bytes)
+    q.admit(range(1, n + 1), 1)
+    return q
 
 
 def pack(q, payload, max_distinct=None):
@@ -16,15 +18,14 @@ def pack(q, payload, max_distinct=None):
     segs = pack_next_burst(q, payload, max_distinct)
     carried = 0.0
     for s in segs or ():
-        out = q.cursor_sent if s is q.cursor_seg else s.bytes_total
+        out = q.cursor_sent if s is q.cursor_seg else q.seg_bytes
         carried += out - (sent_before if s is before else 0.0)
     return segs, carried
 
 
 class TestPacking:
     def test_exact_fit_one_segment_per_burst(self):
-        q = TxQueue()
-        fill(q, 3, total=188.0)
+        q = fill(3)
         for want in (1, 2, 3):
             segs, carried = pack(q, 188.0)
             assert [s.seg_seq for s in segs] == [want]
@@ -35,8 +36,7 @@ class TestPacking:
     def test_fragmentation_below_one(self):
         # 188-byte units into 32.9-byte payloads: ~5.7 bursts per segment,
         # every sixth burst straddling two segments
-        q = TxQueue()
-        fill(q, 3, total=188.0)
+        q = fill(3)
         segs = pack_next_burst(q, 32.9)
         assert q.cursor_seg is segs[0]
         assert q.cursor_sent == pytest.approx(32.9)
@@ -54,16 +54,14 @@ class TestPacking:
     def test_packing_above_one_full_queue(self):
         # 38-byte units into a 216.6-byte payload: up to six distinct
         # segments per burst (five whole plus a fraction)
-        q = TxQueue()
-        fill(q, 100, total=38.0)
+        q = fill(100, 38.0)
         segs = pack_next_burst(q, 216.6, max_distinct=6)
         assert len({s.seg_seq for s in segs}) == 6
         assert q.cursor_seg is segs[-1]          # five finished, one started
         assert q.cursor_sent == pytest.approx(216.6 - 5 * 38.0)
 
     def test_packing_above_one_short_queue_subutilizes(self):
-        q = TxQueue()
-        fill(q, 2, total=38.0)
+        q = fill(2, 38.0)
         segs, carried = pack(q, 216.6, max_distinct=6)
         assert len(segs) == 2
         assert q.cursor_seg is None             # both finished
@@ -71,8 +69,7 @@ class TestPacking:
         assert pack_next_burst(q, 216.6, max_distinct=6) is None
 
     def test_distinct_cap_respected_when_resuming(self):
-        q = TxQueue()
-        fill(q, 50, total=38.0)
+        q = fill(50, 38.0)
         seen = []
         while q.has_data():
             segs = pack_next_burst(q, 216.6, max_distinct=6)
@@ -81,11 +78,10 @@ class TestPacking:
         assert len(seen) >= 9
 
     def test_empty_queue_returns_none(self):
-        assert pack_next_burst(TxQueue(), 188.0) is None
+        assert pack_next_burst(TxQueue(188.0), 188.0) is None
 
     def test_fifo_order_preserved(self):
-        q = TxQueue()
-        fill(q, 20, total=38.0)
+        q = fill(20, 38.0)
         order = []
         while q.has_data():
             for s in pack_next_burst(q, 216.6, max_distinct=6):
@@ -100,8 +96,7 @@ class TestPacking:
     )
     @settings(max_examples=80, deadline=None)
     def test_byte_conservation(self, payload, unit, n):
-        q = TxQueue()
-        fill(q, n, total=unit)
+        q = fill(n, unit)
         emitted = 0.0
         for _ in range(10000):
             segs, carried = pack(q, payload)
@@ -122,8 +117,7 @@ class TestPacking:
         then it is the queue's cursor, which the next burst resumes; at most
         ``max_distinct`` segments per burst; segments finish in FIFO order;
         the cursor conserves bytes."""
-        q = TxQueue()
-        fill(q, n, total=unit)
+        q = fill(n, unit)
         admitted = list(q.pending)
         finished = []
         emitted = 0.0
@@ -138,7 +132,7 @@ class TestPacking:
                 assert len(segs) <= max_distinct
             assert q.cursor_seg is None or q.cursor_seg is segs[-1]
             if q.cursor_seg is not None:
-                assert 0.0 < q.cursor_sent < q.cursor_seg.bytes_total
+                assert 0.0 < q.cursor_sent < q.seg_bytes
             finished += [s for s in segs if s is not q.cursor_seg]
             assert carried <= payload + 1e-9
             # a burst is full unless the queue ran dry or the cap bound
@@ -151,12 +145,12 @@ class TestPacking:
 
 class TestOverflow:
     def test_tail_drop_counts(self):
-        q = TxQueue(capacity_segments=3)
-        assert q.admit(range(5), 0, 188.0)
+        q = TxQueue(188.0, capacity_segments=3)
+        assert q.admit(range(5), 0)
         assert len(q.pending) == 3
         assert q.overflow_drops == 2
         assert [s.seg_seq for s in q.pending] == [0, 1, 2]
-        assert not q.admit([5], 5, 188.0)
+        assert not q.admit([5], 5)
         assert q.overflow_drops == 3
 
 
@@ -210,7 +204,7 @@ class TestAdmission:
         """Random sender batches (resends of the last few seqs, then a new
         range) interleaved with packs of whole, partial and several
         segments."""
-        q = TxQueue(capacity_segments=capacity)
+        q = TxQueue(188.0, capacity_segments=capacity)
         rule = SetRule(capacity)
         first_new = 1
         for step in steps:
@@ -224,7 +218,7 @@ class TestAdmission:
                 _, back, n_new = step
                 resends = [first_new - k for k in back if first_new - k >= 1]
                 seqs = resends + list(range(first_new, first_new + n_new))
-                got = q.admit(seqs, first_new, 188.0)
+                got = q.admit(seqs, first_new)
                 assert got == rule.admit(seqs, first_new)
                 first_new += n_new
             assert [(s.seg_seq, s.retransmit) for s in q.pending] == rule.queue
@@ -234,13 +228,12 @@ class TestAdmission:
         # seq 1 is partly sent when a timeout resends it; its first copy
         # finishes while the resend still waits behind seq 2, so a second
         # resend finds the queued copy and is a no-op
-        q = TxQueue()
-        fill(q, 2)
+        q = fill(2)
         pack_next_burst(q, 100.0)
         assert q.cursor_seg.seg_seq == 1
-        assert q.admit([1], 3, 188.0)
+        assert q.admit([1], 3)
         assert [s.seg_seq for s in pack_next_burst(q, 100.0)] == [1, 2]
-        assert not q.admit([1], 3, 188.0)
+        assert not q.admit([1], 3)
         assert [(s.seg_seq, s.retransmit) for s in q.pending] == [(1, True)]
 
 
@@ -251,19 +244,16 @@ def carried(segs):
 
 class TestBurstLoss:
     def test_single_segment_loss_for_exact_fit(self):
-        q = TxQueue()
-        fill(q, 3, total=188.0)
+        q = fill(3)
         assert carried(pack_next_burst(q, 188.0)) == {1}
 
     def test_full_burst_over_one_loses_f_segments(self):
-        q = TxQueue()
-        fill(q, 10, total=38.0)
+        q = fill(10, 38.0)
         segs = pack_next_burst(q, 216.6, max_distinct=6)
         assert carried(segs) == {1, 2, 3, 4, 5, 6}
 
     def test_straddling_burst_loses_two(self):
-        q = TxQueue()
-        fill(q, 2, total=188.0)
+        q = fill(2)
         bursts = []
         while q.has_data():
             bursts.append(pack_next_burst(q, 32.9))
@@ -271,8 +261,7 @@ class TestBurstLoss:
         assert carried(straddler) == {1, 2}
 
     def test_straddle_frequency_about_one_in_six(self):
-        q = TxQueue()
-        fill(q, 60, total=188.0)
+        q = fill(60)
         bursts = []
         while q.has_data():
             bursts.append(pack_next_burst(q, 32.9))
