@@ -129,6 +129,9 @@ class ScenarioConfig:
             if not cond:
                 raise ConfigError(f"invalid scenario: {invariant}")
 
+        for name, tp in _KEY_TYPES.items():
+            if tp is float:
+                check(math.isfinite(getattr(self, name)), f"{name} must be finite")
         check(self.mss_bytes > 0, "mss_bytes must be > 0")
         check(self.n_rcst >= 1, "n_rcst must be >= 1")
         check(self.replicas >= 1, "replicas must be >= 1")

@@ -365,10 +365,16 @@ def throughput_full(params: LossProcessParams, tcp: TcpModelParams,
     return _finish(est, _cycle_rate(est, params, tcp, est.p_toca, est.p_tofr), mss_bytes)
 
 
+# blr_model's fixed-point iteration: step tolerance, iteration cap and the
+# damping of each step
+_BLR_TOL = 1e-10
+_BLR_MAX_ITERS = 100
+_BLR_DAMPING = 0.5
+
+
 def blr_model(blr: float, tcp: TcpModelParams, mode: str = "noto",
               mss_bytes: int | None = None,
-              tol: float = 1e-10, max_iters: int = 100,
-              damping: float = 0.5, p0: float | None = None) -> ThroughputEstimate:
+              p0: float | None = None) -> ThroughputEstimate:
     """Cross-layer estimate from the MAC burst loss rate alone (one
     segment per burst): q = BLR and p = BLR / (1 + (E[W]-4) BLR).
 
@@ -385,14 +391,14 @@ def blr_model(blr: float, tcp: TcpModelParams, mode: str = "noto",
     q = blr
     p = p0 if p0 is not None else blr
     trail = []
-    for _ in range(max_iters):
+    for _ in range(_BLR_MAX_ITERS):
         e_w = _window_unchecked(p, q, tcp.b)   # iterate may transiently sit above q
         p_next = blr / _expected_delta(blr, e_w)
         trail.append(p)
-        if abs(p_next - p) < tol:
+        if abs(p_next - p) < _BLR_TOL:
             p = p_next
             break
-        p = p + damping * (p_next - p)
+        p = p + _BLR_DAMPING * (p_next - p)
     else:
         raise ModelDomainError(
             f"blr_model fixed point did not converge for blr={blr}; trail={trail[-5:]}"

@@ -67,6 +67,13 @@ class TestSimulate:
         assert rc == 2
         assert "replicas" in capsys.readouterr().err
 
+    def test_non_finite_value_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("waveform_id = 14\nn_rcst = 5\nsim_duration_s = inf\n")
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "sim_duration_s must be finite" in capsys.readouterr().err
+
     def test_processing_delay_key_accepted(self, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("waveform_id = 14\nn_rcst = 2\nsim_duration_s = 5\n"

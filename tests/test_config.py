@@ -156,6 +156,13 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="warmup_s"):
             make_cfg(sim_duration_s=10.0, warmup_s=10.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("key", [k for k, tp in config._KEY_TYPES.items()
+                                     if tp is float])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            make_cfg(**{key: value})
+
     @pytest.mark.parametrize("kw", [
         # 1.4 blocks of 13 ms and a warm-up of 0.6 blocks: both round to 1
         dict(sim_duration_s=0.0182, warmup_s=0.0078),
