@@ -1,8 +1,8 @@
 """Acceptance suite.
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
-them live) and asserts its stated tolerance.  The heavy closed-loop
-scenarios are shared through session fixtures.  All seeds are fixed, so
+them live) and asserts its stated tolerance.  The closed-loop runs of
+criteria 6 to 9 come from one session fixture.  All seeds are fixed, so
 every number here is reproducible bit for bit.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from crdsasim.config import ScenarioConfig, WAVEFORM_CATALOG
-from crdsasim.engine import run, sweep
+from crdsasim.engine import run, sweep_point_config
 from crdsasim.mac import run_open_loop, slotted_aloha_blr
 from crdsasim.models import (
     LossProcessParams,
@@ -57,19 +57,46 @@ def scenario_cfg(n, mss=173, wf=14, **kw):
                           n_rcst=n, **kw)
 
 
-def run_all(cfgs):
-    """Independent runs, two at a time; each is a pure function of its
-    config, so the results equal serial runs."""
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as ex:
-        return list(ex.map(run, cfgs))
+# Criterion 8: each waveform's sweep template and populations
+SWEEPS = {
+    14: (scenario_cfg(10, sim_duration_s=600.0, warmup_s=120.0),
+         (120, 200, 300)),
+    3: (scenario_cfg(10, wf=3, mss=23, sim_duration_s=600.0, warmup_s=120.0),
+        (110, 130, 150, 170)),
+}
+
+# Criterion 9: populations, each run at both MSS values
+FRAG_NS = (30, 50, 70)
+
+
+def frag_cfg(n, mss):
+    return scenario_cfg(n, mss=mss, sim_duration_s=400.0, warmup_s=80.0)
+
+
+CLOSED_LOOP_CFGS = (
+    [scenario_cfg(n) for n in SCENARIO_TARGETS]
+    + [sweep_point_config(tmpl, n) for tmpl, ns in SWEEPS.values() for n in ns]
+    + [frag_cfg(n, mss) for n in FRAG_NS for mss in (173, 23)]
+)
 
 
 @pytest.fixture(scope="session")
-def scenario_runs():
+def closed_loop_runs():
+    """Every closed-loop run of criteria 6 to 9, by config, in one 2-worker
+    pool.  Runs start costliest first, by simulated slot-seconds, so the
+    last ones to finish are short.  Each run is a pure function of its
+    config, so the results equal serial runs."""
+    cfgs = sorted(CLOSED_LOOP_CFGS, reverse=True,
+                  key=lambda c: (c.sim_duration_s * c.slots_per_block, c.n_rcst))
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as ex:
+        return dict(zip(cfgs, ex.map(run, cfgs)))
+
+
+@pytest.fixture(scope="session")
+def scenario_runs(closed_loop_runs):
     """WF14 / MSS 173 runs for N in {30, 50, 70} (criteria 6 and 7)."""
-    return dict(zip(SCENARIO_TARGETS,
-                    run_all([scenario_cfg(n) for n in SCENARIO_TARGETS])))
+    return {n: closed_loop_runs[scenario_cfg(n)] for n in SCENARIO_TARGETS}
 
 
 class TestCriterion1ModelArithmetic:
@@ -262,14 +289,10 @@ class TestCriterion7BlrClosure:
 
 class TestCriterion8SelfRegulation:
     @pytest.fixture(scope="class")
-    def sweeps(self):
-        cfg14 = scenario_cfg(10, sim_duration_s=600.0, warmup_s=120.0)
-        cfg3 = scenario_cfg(10, wf=3, mss=23, sim_duration_s=600.0,
-                            warmup_s=120.0)
-        return {
-            14: sweep(cfg14, [120, 200, 300], parallel=2),
-            3: sweep(cfg3, [110, 130, 150, 170], parallel=2),
-        }
+    def sweeps(self, closed_loop_runs):
+        """Each waveform's sweep, as ``sweep`` would return it."""
+        return {wf: [closed_loop_runs[sweep_point_config(tmpl, n)] for n in ns]
+                for wf, (tmpl, ns) in SWEEPS.items()}
 
     def test_wf14_band(self, sweeps):
         gs = {m.n_rcst: m.g_mean for m in sweeps[14]}
@@ -297,13 +320,11 @@ class TestCriterion8SelfRegulation:
 
 
 class TestCriterion9FragmentationPenalty:
-    def test_small_mss_strictly_worse(self):
-        ns = (30, 50, 70)
-        runs = run_all([scenario_cfg(n, mss=mss, sim_duration_s=400.0,
-                                     warmup_s=80.0)
-                        for n in ns for mss in (173, 23)])
+    def test_small_mss_strictly_worse(self, closed_loop_runs):
         lines = []
-        for n, big, small in zip(ns, runs[::2], runs[1::2]):
+        for n in FRAG_NS:
+            big = closed_loop_runs[frag_cfg(n, 173)]
+            small = closed_loop_runs[frag_cfg(n, 23)]
             lines.append(f"N={n}: mss23 {small.thr_kbps:.2f} < mss173 "
                          f"{big.thr_kbps:.2f}")
             assert small.thr_kbps < big.thr_kbps
