@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 from typing import get_type_hints
 
 import numpy as np
@@ -34,34 +33,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Waveform:
-    """One DVB-RCS2 return-link burst configuration."""
+    """One DVB-RCS2 return-link burst configuration and the frame it is
+    paired with."""
 
     wf_id: int
-    burst_len_symbols: int
     payload_bytes: int
-    payload_symbols: int
-    mapping: str
-    code_rate: Fraction
-
-    def __post_init__(self):
-        if self.payload_bytes <= 0:
-            raise ConfigError(f"waveform {self.wf_id}: payload_bytes must be > 0")
-        if self.burst_len_symbols < self.payload_symbols:
-            raise ConfigError(
-                f"waveform {self.wf_id}: burst_len_symbols < payload_symbols"
-            )
+    default_slots: int    # time-slots per RA block
+    exact_fit_mss: int    # MSS giving one segment per burst
 
 
+# WF3 is QPSK 1/3 with 536-symbol bursts, WF14 QPSK 1/2 with 1616-symbol
+# bursts (DVB-RCS2 reference waveforms).
 WAVEFORM_CATALOG = {
-    3: Waveform(3, 536, 38, 456, "QPSK", Fraction(1, 3)),
-    14: Waveform(14, 1616, 188, 1504, "QPSK", Fraction(1, 2)),
+    3: Waveform(3, 38, 194, 23),
+    14: Waveform(14, 188, 64, 173),
 }
-
-# Default time-slots per RA block for each supported waveform.
-DEFAULT_SLOTS = {3: 194, 14: 64}
-
-# Default MSS giving an exact one-segment-per-burst fit for each waveform.
-DEFAULT_MSS = {3: 23, 14: 173}
 
 # Effective RLE payload per (waveform, MSS) pair.  The published
 # fragmentation table is normative for these four combinations; its r values
@@ -111,7 +97,7 @@ class ScenarioConfig:
                 object.__setattr__(self, name, float(getattr(self, name)))
         if self.slots_per_block == 0:
             object.__setattr__(
-                self, "slots_per_block", DEFAULT_SLOTS[self.waveform.wf_id]
+                self, "slots_per_block", self.waveform.default_slots
             )
         if self.warmup_s < 0:
             object.__setattr__(self, "warmup_s", 0.1 * self.sim_duration_s)
@@ -235,7 +221,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
     waveform = WAVEFORM_CATALOG[wf_id]
     if "n_rcst" not in raw:
         raise ConfigError(f"{source}: missing required key 'n_rcst'")
-    raw.setdefault("mss_bytes", DEFAULT_MSS[wf_id])
+    raw.setdefault("mss_bytes", waveform.exact_fit_mss)
     return ScenarioConfig(waveform=waveform, **raw)
 
 

@@ -112,13 +112,7 @@ class RunMetrics:
     g_series: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
-        d = {}
-        for k, v in self.__dict__.items():
-            if k == "g_series":
-                continue
-            if isinstance(v, np.ndarray):
-                v = v.tolist()
-            d[k] = v
+        d = {k: v for k, v in self.__dict__.items() if k != "g_series"}
         d["cwnd_hist"] = {str(k): v for k, v in sorted(self.cwnd_hist.items())}
         return d
 

@@ -46,12 +46,11 @@ class ModelDomainError(ValueError):
 
 @dataclass(frozen=True)
 class LossProcessParams:
-    """Transport-layer loss description: loss-event rate p, segment loss
-    rate q, and optionally the MAC burst loss rate."""
+    """Transport-layer loss description: loss-event rate p and segment
+    loss rate q."""
 
     p: float
     q: float
-    blr: float | None = None
 
     def validate(self):
         if not (0.0 < self.p < 1.0 and 0.0 < self.q < 1.0):
@@ -114,7 +113,6 @@ class LossEventQuantities:
 @dataclass(frozen=True)
 class CafrTerms:
     e_x: float
-    e_beta: float
     e_delta: float
     s_ca: float
     s_fr: float
@@ -170,7 +168,7 @@ def equated_sums_residual(p: float, q: float, b: int, e_w: float) -> float:
     """
     lev = loss_event_quantities(p, q, e_w)
     lhs = lev.e_alpha + lev.e_gamma
-    terms = cafr_segments_and_durations(p, q, b, e_w)
+    terms = cafr_segments_and_durations(q, b, e_w)
     rhs = terms.s_ca + terms.s_fr
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
@@ -202,7 +200,7 @@ def loss_event_quantities(p: float, q: float, e_w: float) -> LossEventQuantities
                                degenerate=e_w < 4.0)
 
 
-def cafr_segments_and_durations(p: float, q: float, b: int, e_w: float) -> CafrTerms:
+def cafr_segments_and_durations(q: float, b: int, e_w: float) -> CafrTerms:
     """Per-cycle segment counts and durations for the CA and FR phases.
 
     E[X] = b(E[W]/2 + 1) rounds; S_CA = (E[X]/4)*3*E[W] + E[beta] with
@@ -210,16 +208,15 @@ def cafr_segments_and_durations(p: float, q: float, b: int, e_w: float) -> CafrT
     E[delta] < E[W]; D_CA = E[X] + 1/2 rounds; D_FR = E[delta] rounds.
     """
     e_x = b * (e_w / 2.0 + 1.0)
-    e_beta = e_w / 2.0
     e_delta = _expected_delta(q, e_w)
-    s_ca = (e_x / 4.0) * 3.0 * e_w + e_beta
+    s_ca = (e_x / 4.0) * 3.0 * e_w + e_w / 2.0   # + E[beta]
     if e_delta < e_w:
         s_fr = 0.5 * (e_delta * e_w - e_delta - e_delta * e_delta)
     else:
         s_fr = 0.0
     d_ca = e_x + 0.5
     d_fr = e_delta
-    return CafrTerms(e_x, e_beta, e_delta, s_ca, s_fr, d_ca, d_fr)
+    return CafrTerms(e_x, e_delta, s_ca, s_fr, d_ca, d_fr)
 
 
 def timeout_probabilities(p: float, q: float, e_w: float) -> tuple[float, float, bool]:
@@ -277,7 +274,7 @@ def _base_estimate(model: str, params: LossProcessParams,
     tcp.validate()
     e_w = expected_window(params.p, params.q, tcp.b)
     lev = loss_event_quantities(params.p, params.q, e_w)
-    terms = cafr_segments_and_durations(params.p, params.q, tcp.b, e_w)
+    terms = cafr_segments_and_durations(params.q, tcp.b, e_w)
     est = ThroughputEstimate(
         model=model,
         t_segments_per_s=0.0,
@@ -403,7 +400,7 @@ def blr_model(blr: float, tcp: TcpModelParams, mode: str = "noto",
         raise ModelDomainError(
             f"blr_model fixed point did not converge for blr={blr}; trail={trail[-5:]}"
         )
-    params = LossProcessParams(p=p, q=q, blr=blr)
+    params = LossProcessParams(p=p, q=q)
     if mode == "noto":
         est = throughput_no_to(params, tcp, mss_bytes)
         est.model = "blr_noto"

@@ -38,9 +38,12 @@ PHASE_NAMES = {
     TIMEOUT_BACKOFF: "timeout_backoff",
 }
 
+INITIAL_CWND = 2.0
+INITIAL_SSTHRESH = 64.0
 MAX_BACKOFF_EXP = 6
 RTO_GRANULARITY_S = 0.01
 MIN_RTO_S = 1.0
+DELAYED_ACK_S = 0.2
 
 
 class TcpSender:
@@ -53,13 +56,12 @@ class TcpSender:
         "timeouts", "rtt_sum", "rtt_n", "trace",
     )
 
-    def __init__(self, flow_id: int, b: int = 2, initial_cwnd: float = 2.0,
-                 initial_ssthresh: float = 64.0, initial_rto_s: float = 2.0,
+    def __init__(self, flow_id: int, b: int = 2, initial_rto_s: float = 2.0,
                  rwnd_segments: int = 10000, trace: list | None = None):
         self.flow_id = flow_id
         self.b = b
-        self.cwnd = initial_cwnd
-        self.ssthresh = initial_ssthresh
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
         self.phase = SLOW_START
         self.snd_una = 1            # lowest unacknowledged sequence
         self.next_seq = 1           # next new sequence to emit
@@ -271,12 +273,11 @@ class TcpSender:
 class TcpReceiver:
     """Cumulative-ACK receiver with delayed ACKs and duplicate detection."""
 
-    __slots__ = ("b", "ack_delay_s", "rcv_next", "ooo", "pending_unacked",
+    __slots__ = ("b", "rcv_next", "ooo", "pending_unacked",
                  "ack_timer_deadline", "delivered", "spurious")
 
-    def __init__(self, b: int = 2, ack_delay_s: float = 0.2):
+    def __init__(self, b: int = 2):
         self.b = b
-        self.ack_delay_s = ack_delay_s
         self.rcv_next = 1
         self.ooo = set()
         self.pending_unacked = 0
@@ -306,7 +307,7 @@ class TcpReceiver:
             if self.pending_unacked >= self.b:
                 return self._cumulative_ack()
             if self.ack_timer_deadline is None:
-                self.ack_timer_deadline = now + self.ack_delay_s
+                self.ack_timer_deadline = now + DELAYED_ACK_S
             return None
         if seq > self.rcv_next:
             if seq in self.ooo:

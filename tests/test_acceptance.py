@@ -122,7 +122,7 @@ class TestCriterion2Intermediates:
         # published loss rates and mean RTT
         worst = 0.0
         for n, (p, q, rtt, _, e_w, s_ca, d_ca, s_fr, d_fr, _) in REFERENCE.items():
-            t = cafr_segments_and_durations(p, q, 2, e_w)
+            t = cafr_segments_and_durations(q, 2, e_w)
             checks = {
                 "s_ca": (t.s_ca, s_ca),
                 "d_ca": (t.d_ca_rounds * rtt, d_ca),

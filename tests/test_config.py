@@ -58,11 +58,9 @@ def scenario_configs(draw):
 class TestWaveformCatalog:
     def test_catalog_contents(self):
         wf3 = WAVEFORM_CATALOG[3]
-        assert (wf3.burst_len_symbols, wf3.payload_bytes, wf3.payload_symbols) == (536, 38, 456)
-        assert wf3.mapping == "QPSK" and wf3.code_rate == pytest.approx(1 / 3)
+        assert (wf3.payload_bytes, wf3.default_slots, wf3.exact_fit_mss) == (38, 194, 23)
         wf14 = WAVEFORM_CATALOG[14]
-        assert (wf14.burst_len_symbols, wf14.payload_bytes, wf14.payload_symbols) == (1616, 188, 1504)
-        assert wf14.code_rate == pytest.approx(1 / 2)
+        assert (wf14.payload_bytes, wf14.default_slots, wf14.exact_fit_mss) == (188, 64, 173)
         assert set(WAVEFORM_CATALOG) == {3, 14}
 
     def test_unknown_waveform_rejected(self):

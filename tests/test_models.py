@@ -94,7 +94,7 @@ class TestCafrTerms:
     def test_published_intermediate_points(self):
         # evaluated at the published model window for the 30-terminal row
         p, q, rtt, _, e_w = TABLE_ROWS[30]
-        t = cafr_segments_and_durations(p, q, 2, e_w)
+        t = cafr_segments_and_durations(q, 2, e_w)
         assert abs(1 - t.s_ca / 1394.0) < 0.05
         assert abs(1 - (t.d_ca_rounds * rtt) / 28.4) < 0.05
         assert abs(1 - t.s_fr / 20.5) < 0.05
@@ -103,19 +103,19 @@ class TestCafrTerms:
     def test_single_loss_fr_segments(self):
         # delta -> 1: S_FR -> E[W]/2 - 1
         e_w = 40.0
-        t = cafr_segments_and_durations(1e-9, 1e-9, 2, e_w)
+        t = cafr_segments_and_durations(1e-9, 2, e_w)
         assert t.s_fr == pytest.approx(e_w / 2 - 1, rel=1e-6)
 
     def test_fr_zero_when_delta_reaches_window(self):
         # q large enough that E[delta] = E[W]: nothing sent in recovery
         e_w = 5.0
         q = (e_w - 1.0) / (e_w - 4.0)  # makes delta = e_w
-        t = cafr_segments_and_durations(0.5, min(q, 0.999999), 2, e_w)
+        t = cafr_segments_and_durations(min(q, 0.999999), 2, e_w)
         if t.e_delta >= e_w:
             assert t.s_fr == 0.0
 
     def test_d_fr_equals_delta(self):
-        t = cafr_segments_and_durations(1e-3, 2e-3, 2, 25.0)
+        t = cafr_segments_and_durations(2e-3, 2, 25.0)
         assert t.d_fr_rounds == t.e_delta
 
 

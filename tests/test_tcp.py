@@ -12,6 +12,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crdsasim import tcp
 from crdsasim.tcp import (
     CONGESTION_AVOIDANCE,
     FAST_RECOVERY,
@@ -106,12 +107,13 @@ def steady_ca_sender(cwnd=20.0, b=2):
 
 
 class TestGrowth:
-    def test_ca_slope_is_one_over_b_per_rtt(self):
+    def test_ca_slope_is_one_over_b_per_rtt(self, monkeypatch):
         # a tiny delayed-ACK timer keeps rounds RTT-spaced, so the
         # wall-clock trace can be compared to the analytical line
+        monkeypatch.setattr(tcp, "DELAYED_ACK_S", 0.001)
         s = steady_ca_sender(cwnd=10.0)
         s.ssthresh = 5.0
-        h = PipeHarness(s, TcpReceiver(b=2, ack_delay_s=0.001), delay=0.25)
+        h = PipeHarness(s, TcpReceiver(b=2), delay=0.25)
         rtt = 0.5
         n_rtts = 50
         h.run(n_rtts * rtt + 0.01)
@@ -130,7 +132,8 @@ class TestGrowth:
         assert s.cwnd ** 2 == pytest.approx(100.0 + 2 * acked / 2, rel=0.04)
 
     def test_ss_growth_factor(self):
-        s = TcpSender(0, b=2, initial_cwnd=4.0, initial_ssthresh=1000.0)
+        s = TcpSender(0, b=2)
+        s.cwnd, s.ssthresh = 4.0, 1000.0
         h = PipeHarness(s, TcpReceiver(b=2), delay=0.25)
         h.run(5 * 0.5 + 0.01)
         # x = 1 + 1/b per round from 4 segments
@@ -138,7 +141,8 @@ class TestGrowth:
         assert s.phase == SLOW_START
 
     def test_ss_to_ca_transition_at_threshold(self):
-        s = TcpSender(0, b=2, initial_cwnd=4.0, initial_ssthresh=6.0)
+        s = TcpSender(0, b=2)
+        s.cwnd, s.ssthresh = 4.0, 6.0
         h = PipeHarness(s, TcpReceiver(b=2), delay=0.25)
         h.run(3.0)
         assert s.phase == CONGESTION_AVOIDANCE
@@ -160,7 +164,8 @@ class TestAppSource:
         assert s.next_seq == 5
 
     def test_fresh_flow_emits_initial_window(self):
-        s = TcpSender(0, b=2, initial_cwnd=2.0)
+        s = TcpSender(0, b=2)
+        s.cwnd = 2.0
         assert s.start(0.0) == [1, 2]
         assert s.next_seq == 3
         assert s.timer_deadline is not None
@@ -329,7 +334,8 @@ class TestTimeouts:
         assert s.backoff_exp == 0
 
     def test_total_loss_recovers_via_timeout(self):
-        s = TcpSender(0, b=2, initial_cwnd=2.0)
+        s = TcpSender(0, b=2)
+        s.cwnd = 2.0
         r = TcpReceiver(b=2)
         h = PipeHarness(s, r, delay=0.25, lose_once={1, 2})
         h.run(30.0)
