@@ -59,6 +59,19 @@ def _comma_list(text: str, kind, flag: str) -> list:
     return items
 
 
+def _model_list(text: str | None, default) -> list[str]:
+    """The ``--models`` names, or ``default`` when the flag is not given;
+    an empty list or a name outside MODEL_NAMES is a usage error."""
+    if text is None:
+        return list(default)
+    models = _comma_list(text, str, "--models")
+    for name in models:
+        if name not in MODEL_NAMES:
+            raise ConfigError(f"--models: unknown model {name!r} "
+                              f"(choices: {','.join(MODEL_NAMES)})")
+    return models
+
+
 def evaluate_model(name: str, sim: dict, cfg: dict):
     """Evaluate one named model on a simulated metrics dict.
 
@@ -137,11 +150,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    models = _model_list(args.models, MODEL_NAMES)
     docs = []
     for path in args.metrics:
         with open(path, "r", encoding="utf-8") as fh:
             docs.append(json.load(fh))
-    models = args.models.split(",") if args.models else list(MODEL_NAMES)
     rows = comparison_rows(docs, models)
     header = ["scenario", "t_sim_kbps"]
     for m in models:
@@ -162,13 +175,13 @@ def _cmd_sweep(args) -> int:
     if args.seed_override is not None:
         cfg = cfg.with_overrides(seed=args.seed_override)
     n_list = _comma_list(args.n_list, int, "--n-list")
+    models = _model_list(args.models, ["newrenosat_noto", "pftk"])
     results = sweep(cfg, n_list, parallel=args.parallel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     load_rows = []
     eta_rows = []
-    models = args.models.split(",") if args.models else ["newrenosat_noto", "pftk"]
     for n, m in zip(n_list, results):
         thr_per_slot = (m.bursts_offered - m.bursts_lost) / (
             (m.measured_s / cfg.block_duration_s) * cfg.slots_per_block
@@ -206,7 +219,7 @@ def _cmd_mac_curve(args) -> int:
     for tx in grid:
         stats = run_open_loop(cfg, tx, args.blocks)
         rows.append([tx, stats.g_mean, stats.throughput_per_slot, stats.blr])
-        if getattr(args, "per_block", False):
+        if args.per_block:
             per_block = [
                 [i, o / cfg.slots_per_block, int(d), int(o - d)]
                 for i, (o, d) in enumerate(

@@ -80,7 +80,7 @@ class ScenarioConfig:
     segment_overhead_bytes: int = SEGMENT_OVERHEAD_BYTES
     buffer_segments: int = 10000
     sim_duration_s: float = 100.0
-    warmup_s: float = -1.0            # <0 -> 10% of sim_duration_s
+    warmup_s: float = -1.0            # -1 -> 10% of sim_duration_s
     seed: int = 1
     rle_payload_bytes: float = 0.0    # 0 -> per (waveform, MSS) default
     # Ground-segment frame-processing latency (RCST scheduling, gateway
@@ -99,7 +99,7 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "slots_per_block", self.waveform.default_slots
             )
-        if self.warmup_s < 0:
+        if self.warmup_s == -1.0:
             object.__setattr__(self, "warmup_s", 0.1 * self.sim_duration_s)
         if self.rle_payload_bytes == 0:
             key = (self.waveform.wf_id, self.mss_bytes)
@@ -145,6 +145,7 @@ class ScenarioConfig:
         check(self.processing_delay_blocks >= 0,
               "processing_delay_blocks must be >= 0")
         check(self.seed == int(self.seed), "seed must be an integer")
+        check(self.seed >= 0, "seed must be >= 0")
 
     @property
     def block_counts(self) -> tuple[int, int]:

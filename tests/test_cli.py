@@ -94,6 +94,19 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("waveform_id = 14\nn_rcst = 5\nseed = -1\n")
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_negative_seed_override_exit_2(self, config_file, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(config_file),
+                   "--out", str(tmp_path / "o"), "--seed-override", "-5"])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_seed_override(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(config_file), "--out", str(out1),
@@ -114,6 +127,25 @@ class TestCompare:
         assert rows[0][:2] == ["scenario", "t_sim_kbps"]
         assert "newrenosat_noto_eta" in rows[0]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("models, named", [
+        ("foo,pftk", "'foo'"), ("", "empty --models"), (",", "empty --models"),
+    ])
+    def test_bad_models_exit_2(self, tmp_path, capsys, models, named):
+        doc = {
+            "config": {"waveform_id": 14, "mss_bytes": 173, "n_rcst": 1,
+                       "delayed_ack_b": 2, "initial_rto_s": 2.0,
+                       "buffer_segments": 10000},
+            "metrics": {"p": 1e-3, "q": 2e-3, "blr": 1e-3, "e_rtt_s": 0.6,
+                        "thr_kbps": 50.0},
+        }
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["compare", str(path), "--models", models,
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
     def test_domain_error_marks_cell(self):
         doc = {
@@ -176,6 +208,14 @@ class TestSweep:
                    "--out", str(tmp_path / "sw")])
         assert rc == 2
 
+    def test_unknown_model_exit_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", str(config_file), "--n-list", "2",
+                   "--models", "bogus", "--out", str(out)])
+        assert rc == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_n_list_exit_2(self, config_file, tmp_path, capsys):
         rc = main(["sweep", "--config", str(config_file), "--n-list", "x",
                    "--out", str(tmp_path / "sw")])
@@ -196,6 +236,26 @@ class TestMacCurve:
         assert rows[0] == ["tx_prob", "g_mean", "throughput_per_slot", "blr"]
         assert len(rows) == 4
         assert "G*" in capsys.readouterr().out
+
+    def test_per_block_csvs(self, tmp_path):
+        cfg = tmp_path / "mac.cfg"
+        cfg.write_text("waveform_id = 14\nn_rcst = 128\nseed = 5\n")
+        out = tmp_path / "mc"
+        rc = main(["mac-curve", "--config", str(cfg), "--tx-grid", "0.1,0.4",
+                   "--blocks", "50", "--per-block", "--out", str(out)])
+        assert rc == 0
+        curve = {r[0]: float(r[2]) for r in read_csv(out / "mac_curve.csv")[1:]}
+        assert sorted(curve) == ["0.1", "0.4"]
+        for tx, throughput_per_slot in curve.items():
+            rows = read_csv(out / f"mac_blocks_tx{tx}.csv")
+            assert rows[0] == ["block_index", "G", "decoded", "lost"]
+            assert len(rows) == 1 + 50
+            assert [int(r[0]) for r in rows[1:]] == list(range(50))
+            decoded = sum(int(r[2]) for r in rows[1:])
+            assert decoded / (50 * 64) == pytest.approx(throughput_per_slot,
+                                                        rel=1e-12)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "mac_blocks_tx0.1.csv", "mac_blocks_tx0.4.csv", "mac_curve.csv"]
 
     @pytest.mark.parametrize("flag, value", [
         ("--blocks", "0"), ("--blocks", "-3"),

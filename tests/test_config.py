@@ -172,6 +172,23 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="warmup_s"):
             make_cfg(**kw)
 
+    def test_only_the_sentinel_defaults_the_warmup(self):
+        cfg = parse_scenario_text("waveform_id = 14\nn_rcst = 5\n"
+                                  "sim_duration_s = 2\nwarmup_s = -1\n")
+        assert cfg.warmup_s == pytest.approx(0.2)
+        for value, invariant in (("-5", "warmup_s must be >= 0"),
+                                 ("-inf", "warmup_s must be finite")):
+            with pytest.raises(ConfigError, match=invariant):
+                parse_scenario_text("waveform_id = 14\nn_rcst = 5\n"
+                                    f"sim_duration_s = 2\nwarmup_s = {value}\n")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            parse_scenario_text("waveform_id = 14\nn_rcst = 5\nseed = -1\n")
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            make_cfg().with_overrides(seed=-5)
+        assert make_cfg(seed=0).seed == 0
+
     def test_block_counts_round_to_nearest_block(self):
         cfg = make_cfg(sim_duration_s=1.0, block_duration_s=0.1, warmup_s=0.86)
         assert cfg.block_counts == (10, 9)
