@@ -48,7 +48,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 def _comma_list(text: str, kind, flag: str) -> list:
     """The nonempty comma list ``text`` of ``kind`` values given to ``flag``;
-    a missing or malformed item is a usage error."""
+    a missing, malformed or repeated item is a usage error."""
     try:
         items = [kind(x) for x in text.split(",") if x]
     except ValueError:
@@ -56,6 +56,8 @@ def _comma_list(text: str, kind, flag: str) -> list:
                           f"{kind.__name__} values") from None
     if not items:
         raise ConfigError(f"empty {flag}")
+    if len(set(items)) < len(items):
+        raise ConfigError(f"{flag}: {text!r} repeats an item")
     return items
 
 
@@ -180,12 +182,12 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    n_blocks, warmup_blocks = cfg.block_counts
+    measured_slots = (n_blocks - warmup_blocks) * cfg.slots_per_block
     load_rows = []
     eta_rows = []
     for n, m in zip(n_list, results):
-        thr_per_slot = (m.bursts_offered - m.bursts_lost) / (
-            (m.measured_s / cfg.block_duration_s) * cfg.slots_per_block
-        )
+        thr_per_slot = (m.bursts_offered - m.bursts_lost) / measured_slots
         load_rows.append([n, m.g_mean, thr_per_slot, m.load_per_rcst])
         text = metrics_to_json(m, sweep_point_config(cfg, n))
         (out / f"metrics_n{n}.json").write_text(text, encoding="utf-8")
@@ -213,6 +215,9 @@ def _cmd_mac_curve(args) -> int:
         raise ConfigError("--tx-grid values must lie in [0, 1]")
     if args.blocks < 1:
         raise ConfigError("--blocks must be >= 1")
+    if args.per_block and len({f"{tx:g}" for tx in grid}) < len(grid):
+        raise ConfigError("--per-block: --tx-grid values equal to six "
+                          "significant digits would share one file")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -54,7 +54,7 @@ from crdsasim import mac
 # sic_decode, the one-block decoder, stays reachable as engine.sic_decode
 from crdsasim.mac import sample_replica_slots, sic_decode  # noqa: F401
 from crdsasim.rle import TxQueue, pack_next_burst
-from crdsasim.tcp import TcpReceiver, TcpSender
+from crdsasim.tcp import TIMER_SLACK_S, TcpReceiver, TcpSender
 
 __all__ = ["RunMetrics", "run", "sweep", "sweep_point_config", "TABLE6_COLUMNS"]
 
@@ -117,12 +117,8 @@ class RunMetrics:
         return d
 
     def table6_row(self) -> dict:
-        return {
-            "wf": self.wf, "mss": self.mss, "n_rcst": self.n_rcst,
-            "blr": self.blr, "r": self.r, "f": self.f, "q": self.q,
-            "p": self.p, "e_delta": self.e_delta, "e_rtt": self.e_rtt_s,
-            "thr_kbps": self.thr_kbps, "xi": self.xi,
-        }
+        return {c: getattr(self, "e_rtt_s" if c == "e_rtt" else c)
+                for c in TABLE6_COLUMNS}
 
 
 # A flow's ``ack_due`` or ``rto_due`` when no entry is filed for that timer.
@@ -132,9 +128,9 @@ NO_ENTRY = sys.maxsize
 def _due_block(deadline: float, dt: float) -> int:
     """The first block b whose start passes the timer test of
     ``TcpSender.timer_expired`` and ``TcpReceiver.poll_timer``,
-    ``b * dt >= deadline - 1e-12``: a ceil estimate, corrected with that
-    same float comparison."""
-    t = deadline - 1e-12
+    ``b * dt >= deadline - TIMER_SLACK_S``: a ceil estimate, corrected with
+    that same float comparison."""
+    t = deadline - TIMER_SLACK_S
     b = max(0, math.ceil(t / dt))
     while b > 0 and (b - 1) * dt >= t:
         b -= 1
@@ -299,7 +295,8 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
                 ack = receiver.on_segment(seg.seg_seq, now)
                 if ack is not None:
                     acks_out.append((fi, ack))
-                elif (flow.ack_due - 1) * dt >= receiver.ack_timer_deadline - 1e-12:
+                elif ((flow.ack_due - 1) * dt
+                      >= receiver.ack_timer_deadline - TIMER_SLACK_S):
                     flow.ack_due = _file(due, fi, receiver.ack_timer_deadline,
                                          dt, b)
 
@@ -311,7 +308,8 @@ def run(cfg: ScenarioConfig, trace: list | None = None) -> RunMetrics:
             if seqs and flow.txq.admit(seqs, first_new):
                 backlog.add(fi)
             deadline = sender.timer_deadline
-            if deadline is not None and (flow.rto_due - 1) * dt >= deadline - 1e-12:
+            if (deadline is not None
+                    and (flow.rto_due - 1) * dt >= deadline - TIMER_SLACK_S):
                 flow.rto_due = _file(due, fi, deadline, dt, b)
 
         # 4. the flows due this block, by flow index, each visited once: its

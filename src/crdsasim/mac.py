@@ -77,7 +77,6 @@ class MacStats:
     """Open-loop MAC statistics over a batch of RA blocks: the per-block
     counts, and what follows from them."""
 
-    n_rcst: int
     slots_per_block: int
     offered_series: np.ndarray      # per-block unique burst counts
     decoded_series: np.ndarray
@@ -112,10 +111,6 @@ class MacStats:
     @property
     def g_mean(self) -> float:
         return float(self.g_series.mean())
-
-    @property
-    def load_per_rcst(self) -> float:
-        return self.g_mean / self.n_rcst
 
     @property
     def throughput_per_slot(self) -> float:
@@ -212,8 +207,8 @@ def run_open_loop(cfg, tx_prob: float, blocks: int) -> MacStats:
             )
         done += nb
 
-    return MacStats(n_rcst=n_rcst, slots_per_block=n,
-                    offered_series=offered_series, decoded_series=decoded_series)
+    return MacStats(slots_per_block=n, offered_series=offered_series,
+                    decoded_series=decoded_series)
 
 
 def slotted_aloha_blr(n_slots: int, n_rcst: int, tx_prob: float) -> float:

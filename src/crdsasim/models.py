@@ -12,7 +12,7 @@ root is implemented verbatim; see ``window_root_residual``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "ModelDomainError",
@@ -47,12 +47,12 @@ class ModelDomainError(ValueError):
 @dataclass(frozen=True)
 class LossProcessParams:
     """Transport-layer loss description: loss-event rate p and segment
-    loss rate q."""
+    loss rate q, checked when built."""
 
     p: float
     q: float
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 < self.p < 1.0 and 0.0 < self.q < 1.0):
             raise ModelDomainError(f"p and q must lie in (0,1): p={self.p}, q={self.q}")
         if self.p > self.q + 1e-15:
@@ -63,11 +63,13 @@ class LossProcessParams:
 
 @dataclass(frozen=True)
 class TcpModelParams:
+    """Delayed-ACK factor, mean RTT and RTO, checked when built."""
+
     b: int = 2
     e_rtt_s: float = 0.52
     rto_s: float = 2.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.b < 1:
             raise ModelDomainError(f"delayed-ACK factor must be >= 1: b={self.b}")
         if self.e_rtt_s <= 0 or self.rto_s <= 0:
@@ -78,7 +80,6 @@ class TcpModelParams:
 class ThroughputEstimate:
     """Estimator output with every intermediate exposed for auditing."""
 
-    model: str
     t_segments_per_s: float
     t_kbps: float
     e_w: float
@@ -94,12 +95,6 @@ class ThroughputEstimate:
     d_to_s: float = 0.0
     p_toca: float = 0.0
     p_tofr: float = 0.0
-    flags: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items()}
-        d["flags"] = list(self.flags)
-        return d
 
 
 @dataclass(frozen=True)
@@ -120,13 +115,17 @@ class CafrTerms:
     d_fr_rounds: float
 
 
-def _phi(q: float, b: int) -> float:
-    return (22.0 * q - 3.0 * b - 4.0) / (8.0 * q + 3.0 * b)
+def _quadratic(p: float, q: float, b: int) -> tuple[float, float]:
+    """Phi and the constant term c of the window quadratic
+    W^2 - 2*Phi*W + c = 0."""
+    phi = (22.0 * q - 3.0 * b - 4.0) / (8.0 * q + 3.0 * b)
+    c = (60.0 * p * q - 8.0 * p - 8.0) / (p * (8.0 * q + 3.0 * b))
+    return phi, c
 
 
 def _window_unchecked(p: float, q: float, b: int) -> float:
-    phi = _phi(q, b)
-    disc = phi * phi - (60.0 * p * q - 8.0 * p - 8.0) / (p * (8.0 * q + 3.0 * b))
+    phi, c = _quadratic(p, q, b)
+    disc = phi * phi - c
     if disc < 0:
         raise ModelDomainError(
             f"negative discriminant for p={p}, q={q}, b={b}: {disc}"
@@ -143,7 +142,7 @@ def expected_window(p: float, q: float, b: int) -> float:
     Closed form: E[W] = Phi + sqrt(Phi^2 - (60pq - 8p - 8) / (p(8q + 3b)))
     with Phi = (22q - 3b - 4) / (8q + 3b).
     """
-    LossProcessParams(p, q).validate()
+    LossProcessParams(p, q)
     if b < 1:
         raise ModelDomainError(f"b must be >= 1: b={b}")
     return _window_unchecked(p, q, b)
@@ -152,8 +151,7 @@ def expected_window(p: float, q: float, b: int) -> float:
 def window_root_residual(p: float, q: float, b: int, e_w: float) -> float:
     """Relative residual of e_w in the quadratic solved by
     :func:`expected_window`: W^2 - 2*Phi*W + (60pq - 8p - 8)/(p(8q+3b))."""
-    phi = _phi(q, b)
-    c = (60.0 * p * q - 8.0 * p - 8.0) / (p * (8.0 * q + 3.0 * b))
+    phi, c = _quadratic(p, q, b)
     resid = e_w * e_w - 2.0 * phi * e_w + c
     scale = max(e_w * e_w, abs(2.0 * phi * e_w), abs(c))
     return abs(resid) / scale
@@ -193,7 +191,7 @@ def loss_event_quantities(p: float, q: float, e_w: float) -> LossEventQuantities
     For e_w < 4 the gamma/delta expressions leave their validity region;
     the raw values are still returned, flagged degenerate.
     """
-    LossProcessParams(p, q).validate()
+    LossProcessParams(p, q)
     e_alpha = 1.0 / p
     e_gamma = q * (e_w - 4.0)
     return LossEventQuantities(e_alpha, e_gamma, _expected_delta(q, e_w),
@@ -231,7 +229,7 @@ def timeout_probabilities(p: float, q: float, e_w: float) -> tuple[float, float,
     p_TOFR: a retransmission is lost during recovery,
         sum_{j=1..W-3} B[W-3, j] (1 - (1-p)^(j W / 2)).
     """
-    LossProcessParams(p, q).validate()
+    LossProcessParams(p, q)
     w = int(round(e_w))
     degenerate = w < 5
     w_eff = max(w, 3)
@@ -267,16 +265,13 @@ def slow_start_and_timeout_terms(p: float, b: int, e_w: float, rto_s: float,
     return s_ss, d_ss, d_to, degenerate
 
 
-def _base_estimate(model: str, params: LossProcessParams,
-                   tcp: TcpModelParams) -> ThroughputEstimate:
-    """The cycle terms of ``model``; newrenosat_full adds the timeout terms."""
-    params.validate()
-    tcp.validate()
+def _base_estimate(params: LossProcessParams, tcp: TcpModelParams,
+                   timeouts: bool) -> ThroughputEstimate:
+    """The renewal-cycle terms, plus the timeout terms if ``timeouts``."""
     e_w = expected_window(params.p, params.q, tcp.b)
     lev = loss_event_quantities(params.p, params.q, e_w)
     terms = cafr_segments_and_durations(params.q, tcp.b, e_w)
     est = ThroughputEstimate(
-        model=model,
         t_segments_per_s=0.0,
         t_kbps=0.0,
         e_w=e_w,
@@ -288,17 +283,11 @@ def _base_estimate(model: str, params: LossProcessParams,
         d_ca_rounds=terms.d_ca_rounds,
         d_fr_rounds=terms.d_fr_rounds,
     )
-    if lev.degenerate:
-        est.flags.append("window_below_four_segments")
-    if model == "newrenosat_full":
-        est.p_toca, est.p_tofr, degen = timeout_probabilities(params.p, params.q, e_w)
-        est.s_ss, est.d_ss_s, est.d_to_s, degen_ss = slow_start_and_timeout_terms(
+    if timeouts:
+        est.p_toca, est.p_tofr, _ = timeout_probabilities(params.p, params.q, e_w)
+        est.s_ss, est.d_ss_s, est.d_to_s, _ = slow_start_and_timeout_terms(
             params.p, tcp.b, e_w, tcp.rto_s, tcp.e_rtt_s
         )
-        if degen:
-            est.flags.append("timeout_probabilities_truncated_support")
-        if degen_ss:
-            est.flags.append("slow_start_terms_degenerate")
     return est
 
 
@@ -316,7 +305,7 @@ def throughput_no_to(params: LossProcessParams, tcp: TcpModelParams,
     T = ((E[W]-4)q + 1/p) /
         (E[RTT] { b(E[W]/2 + 1) + 1/2 + [1 + (E[W]-4)q] })   [segments/s]
     """
-    est = _base_estimate("newrenosat_noto", params, tcp)
+    est = _base_estimate(params, tcp, timeouts=False)
     return _finish(est, _cycle_rate(est, params, tcp, 0.0, 0.0), mss_bytes)
 
 
@@ -329,7 +318,7 @@ def full_cycle_rate(params: LossProcessParams, tcp: TcpModelParams,
     the rate reduces exactly to :func:`throughput_no_to` when both
     timeout probabilities are zero.
     """
-    est = _base_estimate("newrenosat_full", params, tcp)
+    est = _base_estimate(params, tcp, timeouts=True)
     return _cycle_rate(est, params, tcp, p_toca, p_tofr)
 
 
@@ -358,7 +347,7 @@ def throughput_full(params: LossProcessParams, tcp: TcpModelParams,
                     mss_bytes: int | None = None) -> ThroughputEstimate:
     """Full-cycle throughput including timeout branches, with the branch
     weights taken from :func:`timeout_probabilities`."""
-    est = _base_estimate("newrenosat_full", params, tcp)
+    est = _base_estimate(params, tcp, timeouts=True)
     return _finish(est, _cycle_rate(est, params, tcp, est.p_toca, est.p_tofr), mss_bytes)
 
 
@@ -402,12 +391,8 @@ def blr_model(blr: float, tcp: TcpModelParams, mode: str = "noto",
         )
     params = LossProcessParams(p=p, q=q)
     if mode == "noto":
-        est = throughput_no_to(params, tcp, mss_bytes)
-        est.model = "blr_noto"
-    else:
-        est = throughput_full(params, tcp, mss_bytes)
-        est.model = "blr_full"
-    return est
+        return throughput_no_to(params, tcp, mss_bytes)
+    return throughput_full(params, tcp, mss_bytes)
 
 
 def pftk_baseline(params: LossProcessParams, tcp: TcpModelParams,
@@ -419,8 +404,6 @@ def pftk_baseline(params: LossProcessParams, tcp: TcpModelParams,
 
     optionally capped at wmax/RTT.  Uses the loss-event rate p.
     """
-    params.validate()
-    tcp.validate()
     p, b = params.p, tcp.b
     t = 1.0 / (tcp.e_rtt_s * math.sqrt(2.0 * b * p / 3.0)
                + tcp.rto_s * min(1.0, 3.0 * math.sqrt(3.0 * b * p / 8.0))
@@ -428,6 +411,5 @@ def pftk_baseline(params: LossProcessParams, tcp: TcpModelParams,
     if wmax_segments is not None:
         t = min(t, wmax_segments / tcp.e_rtt_s)
     e_w_pftk = math.sqrt(8.0 / (3.0 * b * p))    # window scale implied by p
-    est = ThroughputEstimate(model="pftk", t_segments_per_s=0.0, t_kbps=0.0,
-                             e_w=e_w_pftk)
+    est = ThroughputEstimate(t_segments_per_s=0.0, t_kbps=0.0, e_w=e_w_pftk)
     return _finish(est, t, mss_bytes)

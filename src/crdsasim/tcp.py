@@ -21,22 +21,16 @@ __all__ = [
     "CONGESTION_AVOIDANCE",
     "FAST_RECOVERY",
     "TIMEOUT_BACKOFF",
-    "PHASE_NAMES",
+    "TIMER_SLACK_S",
     "TcpSender",
     "TcpReceiver",
 ]
 
-SLOW_START = 0
-CONGESTION_AVOIDANCE = 1
-FAST_RECOVERY = 2
-TIMEOUT_BACKOFF = 3
-
-PHASE_NAMES = {
-    SLOW_START: "slow_start",
-    CONGESTION_AVOIDANCE: "congestion_avoidance",
-    FAST_RECOVERY: "fast_recovery",
-    TIMEOUT_BACKOFF: "timeout_backoff",
-}
+# a phase's value is its name in the event trace
+SLOW_START = "slow_start"
+CONGESTION_AVOIDANCE = "congestion_avoidance"
+FAST_RECOVERY = "fast_recovery"
+TIMEOUT_BACKOFF = "timeout_backoff"
 
 INITIAL_CWND = 2.0
 INITIAL_SSTHRESH = 64.0
@@ -44,6 +38,10 @@ MAX_BACKOFF_EXP = 6
 RTO_GRANULARITY_S = 0.01
 MIN_RTO_S = 1.0
 DELAYED_ACK_S = 0.2
+# A timer fires at ``now >= deadline - TIMER_SLACK_S``.  engine._due_block
+# files timer entries by this same test, so the engine is exact only while
+# every timer check uses this one constant.
+TIMER_SLACK_S = 1e-12
 
 
 class TcpSender:
@@ -110,8 +108,7 @@ class TcpSender:
     def _log(self, now, event):
         if self.trace is not None:
             self.trace.append(
-                (now, self.flow_id, event, self.cwnd, self.ssthresh,
-                 PHASE_NAMES[self.phase])
+                (now, self.flow_id, event, self.cwnd, self.ssthresh, self.phase)
             )
 
     def _emit_new(self, now) -> list[int]:
@@ -166,7 +163,8 @@ class TcpSender:
         self.timer_deadline = (now + self.armed_rto()) if self.flight > 0 else None
 
     def timer_expired(self, now) -> bool:
-        return self.timer_deadline is not None and now >= self.timer_deadline - 1e-12
+        deadline = self.timer_deadline
+        return deadline is not None and now >= deadline - TIMER_SLACK_S
 
     # -- events ------------------------------------------------------------
 
@@ -321,7 +319,7 @@ class TcpReceiver:
     def poll_timer(self, now: float) -> int | None:
         """The ACK number the delayed-ACK timer releases now, or None."""
         if (self.ack_timer_deadline is not None
-                and now >= self.ack_timer_deadline - 1e-12
+                and now >= self.ack_timer_deadline - TIMER_SLACK_S
                 and self.pending_unacked > 0):
             return self._cumulative_ack()
         return None

@@ -1,9 +1,11 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
 from crdsasim.cli import comparison_rows, evaluate_model, main
+from crdsasim.config import load_scenario
 
 
 @pytest.fixture
@@ -130,6 +132,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("models, named", [
         ("foo,pftk", "'foo'"), ("", "empty --models"), (",", "empty --models"),
+        ("pftk,pftk", "repeats"),
     ])
     def test_bad_models_exit_2(self, tmp_path, capsys, models, named):
         doc = {
@@ -222,6 +225,30 @@ class TestSweep:
         assert rc == 2
         assert "--n-list" in capsys.readouterr().err
 
+    def test_repeated_n_list_exit_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", str(config_file), "--n-list", "2,2",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--n-list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_throughput_per_slot_exact(self, tmp_path):
+        # 1,384 measured blocks: measured_s / block_duration_s is not exact
+        cfg = tmp_path / "wf14_20s.cfg"
+        cfg.write_text("waveform_id = 14\nmss_bytes = 173\nn_rcst = 40\n"
+                       "sim_duration_s = 20\nseed = 1\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--n-list", "40,60",
+                     "--out", str(out)]) == 0
+        scenario = load_scenario(cfg)
+        n_blocks, warmup_blocks = scenario.block_counts
+        slots = (n_blocks - warmup_blocks) * scenario.slots_per_block
+        for row in read_csv(out / "sweep_load.csv")[1:]:
+            m = json.loads((out / f"metrics_n{row[0]}.json").read_text())["metrics"]
+            decoded = m["bursts_offered"] - m["bursts_lost"]
+            assert float(row[2]) == float(Fraction(decoded, slots))
+
 
 class TestMacCurve:
     def test_curve_csv_and_peak(self, tmp_path, capsys):
@@ -259,7 +286,7 @@ class TestMacCurve:
 
     @pytest.mark.parametrize("flag, value", [
         ("--blocks", "0"), ("--blocks", "-3"),
-        ("--tx-grid", "1.5"), ("--tx-grid", "abc"),
+        ("--tx-grid", "1.5"), ("--tx-grid", "abc"), ("--tx-grid", "0.1,0.1"),
     ])
     def test_usage_error_exit_2(self, tmp_path, capsys, flag, value):
         cfg = tmp_path / "mac.cfg"
@@ -269,6 +296,18 @@ class TestMacCurve:
                    *[x for kv in opts.items() for x in kv]])
         assert rc == 2
         assert flag in capsys.readouterr().err
+
+    def test_colliding_per_block_names_exit_2(self, tmp_path, capsys):
+        # both grid points print as 0.123456, so would share one file
+        cfg = tmp_path / "mac.cfg"
+        cfg.write_text("waveform_id = 14\nn_rcst = 128\n")
+        out = tmp_path / "mc"
+        rc = main(["mac-curve", "--config", str(cfg), "--tx-grid",
+                   "0.1234561,0.1234562", "--blocks", "10", "--per-block",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--per-block" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_grid_exit_2(self, tmp_path):
         cfg = tmp_path / "mac.cfg"

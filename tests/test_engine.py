@@ -9,7 +9,7 @@ from crdsasim.engine import (
     _due_block, _Flow, _lose_burst, _Tally, metrics_to_json, run, sweep,
 )
 from crdsasim.rle import TxQueue, pack_next_burst
-from crdsasim.tcp import TcpSender
+from crdsasim.tcp import TcpReceiver, TcpSender
 
 
 def make_cfg(wf=14, mss=173, n=5, dur=40.0, seed=11, **kw):
@@ -104,13 +104,24 @@ BLOCK_DURATIONS = sorted(
 
 class TestDueBlock:
     """``_due_block`` files a timer at the first block whose start passes
-    the timer test ``b * dt >= deadline - 1e-12``."""
+    the timer test of ``TcpSender.timer_expired`` and
+    ``TcpReceiver.poll_timer``."""
 
     @staticmethod
     def brute_force(deadline, dt):
+        """The first block whose start fires a real sender's retransmission
+        timer at ``deadline``; a real receiver's delayed-ACK timer at the
+        same deadline must fire at that block and not the one before."""
+        sender = TcpSender(0)
+        sender.timer_deadline = deadline
         b = 0
-        while b * dt < deadline - 1e-12:
+        while not sender.timer_expired(b * dt):
             b += 1
+        receiver = TcpReceiver()
+        receiver.pending_unacked = 1
+        receiver.ack_timer_deadline = deadline
+        assert b == 0 or receiver.poll_timer((b - 1) * dt) is None
+        assert receiver.poll_timer(b * dt) is not None
         return b
 
     @given(dt=st.sampled_from(BLOCK_DURATIONS),

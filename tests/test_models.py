@@ -70,6 +70,12 @@ class TestExpectedWindow:
         with pytest.raises(ModelDomainError):
             expected_window(0.5, 1.5, 2)
 
+    def test_parameters_checked_when_built(self):
+        with pytest.raises(ModelDomainError, match="cannot exceed"):
+            LossProcessParams(0.02, 0.01)
+        with pytest.raises(ModelDomainError, match="delayed-ACK factor"):
+            TcpModelParams(b=0)
+
 
 class TestLossEventQuantities:
     def test_reciprocal_alpha(self):
@@ -241,7 +247,7 @@ class TestThroughput:
     def test_estimate_fields_finite_nonneg(self):
         p, q, rtt, _, _ = TABLE_ROWS[40]
         est = throughput_full(LossProcessParams(p, q), TcpModelParams(2, rtt, 2.0), 173)
-        for k, v in est.to_dict().items():
+        for k, v in vars(est).items():
             if isinstance(v, float):
                 assert math.isfinite(v), k
                 assert v >= 0.0 or k in ("e_gamma",), k
